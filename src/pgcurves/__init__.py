@@ -13,7 +13,6 @@ from .dsl import (
     LexError,
     ParseError,
     eval_jet3,
-    eval_value,
     parse,
     parse_expr,
     to_source,

@@ -33,7 +33,7 @@ __all__ = [
     "Expr", "Const", "Var", "Neg", "BinOp", "Call",
     "Token", "LexError", "ParseError", "DomainError",
     "tokenize", "parse", "parse_expr", "to_source",
-    "eval_jet3", "eval_value", "as_expr", "FUNCTION_NAMES",
+    "eval_jet3", "as_expr", "FUNCTION_NAMES",
 ]
 
 FUNCTION_NAMES = frozenset(JET_FUNCTIONS)
@@ -410,50 +410,3 @@ def eval_jet3(e: Expr, s) -> Jet3:
         raise DomainError(f"non-finite result evaluating '{to_source(e)}'")
     return jet
 
-
-_VALUE_FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "tanh": math.tanh,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-}
-
-
-def eval_value(e: Expr, s: float) -> float:
-    """Evaluate only the value of the expression at a scalar point.
-
-    Cheaper than eval_jet3 for tight loops such as ODE right-hand sides.
-    """
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return float(s)
-    if isinstance(e, Neg):
-        return -eval_value(e.arg, s)
-    if isinstance(e, BinOp):
-        a = eval_value(e.lhs, s)
-        b = eval_value(e.rhs, s)
-        try:
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return a * b
-            if e.op == "/":
-                return a / b
-            return a ** b
-        except (ZeroDivisionError, ValueError, OverflowError) as err:
-            raise DomainError(f"{err} in '{to_source(e)}'") from None
-    if isinstance(e, Call):
-        arg = eval_value(e.arg, s)
-        try:
-            return _VALUE_FUNCTIONS[e.func](arg)
-        except (ValueError, OverflowError) as err:
-            raise DomainError(f"{err} in '{to_source(e)}'") from None
-    raise TypeError(f"not an expression node: {e!r}")

@@ -19,7 +19,7 @@ from .classify import (
     normal_component_exprs,
     normal_ode_residuals,
 )
-from .dsl import LexError, ParseError, eval_jet3, eval_value, parse_expr
+from .dsl import LexError, ParseError, eval_jet3, parse_expr
 from .frenet import curve_from_exprs, frenet_grid, torsion_det
 from .space import ORIGIN
 from .synth import (
@@ -320,7 +320,7 @@ def check_parser_corpus() -> CheckResult:
         try:
             if mode == "value":
                 at, expected = payload
-                got = eval_value(parse_expr(source), at)
+                got = eval_jet3(parse_expr(source), at).v
                 if not math.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-12):
                     failures += 1
             elif mode == "lex":
@@ -353,14 +353,14 @@ def check_jet_finite_difference(tol: float = 1e-6) -> CheckResult:
         for point in (0.7, 1.3):
             jet = eval_jet3(e, point)
             h = 1e-5
-            fd1 = (eval_value(e, point + h) - eval_value(e, point - h)) / (2 * h)
+            fd1 = (eval_jet3(e, point + h).v - eval_jet3(e, point - h).v) / (2 * h)
             rel1 = abs(fd1 - jet.d1) / max(1.0, abs(jet.d1))
 
             h2 = 1e-3
 
             def second(hh):
-                return (eval_value(e, point + hh) - 2 * eval_value(e, point)
-                        + eval_value(e, point - hh)) / hh**2
+                return (eval_jet3(e, point + hh).v - 2 * eval_jet3(e, point).v
+                        + eval_jet3(e, point - hh).v) / hh**2
 
             fd2 = (4.0 * second(h2 / 2) - second(h2)) / 3.0
             rel2 = abs(fd2 - jet.d2) / max(1.0, abs(jet.d2))

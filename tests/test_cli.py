@@ -1,6 +1,8 @@
 """Command-line interface tests: exit codes, file outputs, determinism."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -166,6 +168,14 @@ class TestSynthesize:
                      "--output", str(tmp_path / "x.csv")])
         assert code == 1
 
+    def test_profile_outside_domain_exit_1(self, tmp_path, capsys):
+        code = main(["synthesize", "--kappa", "(-s)^0.5", "--tau", "0",
+                     "--s-min", "0.5", "--s-max", "1",
+                     "--output", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "pgcurves: input error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestVerify:
     def test_default_seed_passes(self, tmp_path):
@@ -227,3 +237,11 @@ class TestPlotData:
         assert intercept == pytest.approx(-0.25, abs=1e-4)
         residual = np.max(np.abs(ratio - (slope * s + intercept)))
         assert residual <= 1e-4
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    probe = ("import sys, pgcurves.cli; "
+             "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

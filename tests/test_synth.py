@@ -10,6 +10,7 @@ from pgcurves.classify import (
     classify_rectifying,
     rectifying_invariant_spread,
 )
+from pgcurves.dsl import DomainError
 from pgcurves.frenet import frenet_grid
 from pgcurves.space import ORIGIN, PGVector3
 from pgcurves.synth import (
@@ -92,6 +93,34 @@ class TestIntegrateFrenet:
     def test_non_positive_curvature_rejected(self):
         with pytest.raises(InvalidProfile):
             integrate_frenet(profile("s", "0", -1.0, 1.0))
+
+    def test_profile_outside_domain_rejected(self):
+        with pytest.raises(DomainError):
+            integrate_frenet(profile("(-s)^0.5", "0", 0.5, 1.0))
+
+    @pytest.mark.parametrize("kappa,tau,k_fn,w_fn", [
+        ("1 + s^2/10", "sin(s)", lambda s: 1.0 + s * s / 10.0, math.sin),
+        ("2", "-1", lambda s: 2.0, lambda s: -1.0),
+    ], ids=["varying", "constant"])
+    def test_matches_independent_ode_solver(self, kappa, tau, k_fn, w_fn):
+        from scipy.integrate import solve_ivp
+
+        def rhs(s, u):
+            _, _, ty, tz, ny, nz, by, bz = u
+            k, w = k_fn(s), w_fn(s)
+            return [ty, tz, k * ny, k * nz, w * by, w * bz, w * ny, w * nz]
+
+        step, s_max = 7e-4, 4.0
+        traj = integrate_frenet(profile(kappa, tau, 0.0, s_max), step=step)
+        assert traj.s.size == math.ceil(s_max / step) + 1
+        assert traj.s[-1] == s_max
+        ref = solve_ivp(rhs, (0.0, s_max), [0, 0, 0, 0, 1, 0, 0, 1], method="DOP853",
+                        t_eval=traj.s, rtol=1e-13, atol=1e-13)
+        assert ref.success
+        got = np.vstack([traj.r[:, 1], traj.r[:, 2], traj.t_y, traj.t_z,
+                         traj.n_y, traj.n_z, traj.b_y, traj.b_z])
+        np.testing.assert_array_equal(traj.r[:, 0], traj.s)
+        assert np.max(np.abs(got - ref.y)) <= 1e-9 * np.max(np.abs(ref.y))
 
     def test_bad_initial_frame_rejected(self):
         bad = FrenetState(
