@@ -11,14 +11,12 @@ import dataclasses
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import verify as verify_mod
 from .classify import (
+    DegenerateFit,
     NonConstantInvariants,
     ZeroTorsion,
     frame_components_arrays,
@@ -27,7 +25,7 @@ from .classify import (
 )
 from .dsl import DomainError, LexError, ParseError
 from .fileio import (
-    FRENET_COLUMNS,
+    FloatColumn,
     load_curve,
     write_frenet_csv,
     write_json,
@@ -36,7 +34,6 @@ from .fileio import (
 )
 from .frenet import (
     DEFAULT_TOL_ADM,
-    FrenetGrid,
     NotAdmissible,
     check_admissible,
     frenet_grid,
@@ -65,7 +62,6 @@ class RunConfig:
     samples: int | None = None
     step: float = 1e-3
     seed: int = 0
-    threads: int = 1
     m1: float | None = None
     n1: float | None = None
     kappa: str | None = None
@@ -78,8 +74,6 @@ class RunConfig:
                 raise ValueError(f"tolerance {name} must be positive")
         if self.samples is not None and self.samples < 2:
             raise ValueError("samples must be at least 2")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
 
 def _parse_origin(text: str) -> PGVector3:
@@ -120,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-min", type=float, default=None)
     p.add_argument("--s-max", type=float, default=None)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     add_common(p)
 
     p = sub.add_parser("classify", help="rectifying / normal-fit verdict")
@@ -180,7 +173,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         samples=getattr(args, "samples", None),
         step=getattr(args, "step", 1e-3),
         seed=getattr(args, "seed", 0),
-        threads=getattr(args, "threads", 1),
         m1=getattr(args, "m1", None),
         n1=getattr(args, "n1", None),
         kappa=getattr(args, "kappa", None),
@@ -203,24 +195,6 @@ def _load_curve_with_overrides(cfg: RunConfig):
     return curve
 
 
-def _merge_grids(chunks: list[FrenetGrid]) -> FrenetGrid:
-    fields_ = {name: np.concatenate([getattr(g, name) for g in chunks])
-               for name in FrenetGrid.__dataclass_fields__}
-    return FrenetGrid(**fields_)
-
-
-def _grid_with_threads(curve, tol_adm: float, threads: int) -> FrenetGrid:
-    s = curve.grid()
-    if threads <= 1:
-        return frenet_grid(curve, s, tol_adm=tol_adm, strict=False)
-    pieces = np.array_split(s, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = list(pool.map(
-            lambda piece: frenet_grid(curve, piece, tol_adm=tol_adm, strict=False),
-            pieces))
-    return _merge_grids(chunks)
-
-
 def _output_base(path: Path) -> Path:
     return Path(re.sub(r"\.(json|csv)$", "", str(path)))
 
@@ -229,13 +203,12 @@ def cmd_analyze(cfg: RunConfig) -> int:
     curve = _load_curve_with_overrides(cfg)
     tol_adm = cfg.tolerances.get("tol_adm", DEFAULT_TOL_ADM)
     report_adm = check_admissible(curve, tol_adm=tol_adm)
-    grid = _grid_with_threads(curve, tol_adm, cfg.threads)
+    grid = frenet_grid(curve, curve.grid(), tol_adm=tol_adm, strict=False)
 
     base = _output_base(cfg.output)
     base.parent.mkdir(parents=True, exist_ok=True)
-    write_frenet_csv(base.with_suffix(".csv"), grid)
-    rows = [{name: float(getattr(grid, name)[i]) for name in FRENET_COLUMNS}
-            for i in range(grid.s.size)]
+    # The JSON rows reuse the strings formatted for the CSV.
+    rows = write_frenet_csv(base.with_suffix(".csv"), grid)
     payload = {
         "schema": 1,
         "command": "analyze",
@@ -363,10 +336,11 @@ def cmd_plot_data(cfg: RunConfig) -> int:
 
     out_dir = cfg.output
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_series(out_dir / "kappa.dat", s, grid.kappa)
-    write_series(out_dir / "tau.dat", s, grid.tau)
-    write_series(out_dir / "tau_over_kappa.dat", s, grid.tau / grid.kappa)
-    write_series(out_dir / "beta.dat", s, beta)
+    s_column = FloatColumn(s)
+    write_series(out_dir / "kappa.dat", s_column, grid.kappa)
+    write_series(out_dir / "tau.dat", s_column, grid.tau)
+    write_series(out_dir / "tau_over_kappa.dat", s_column, grid.tau / grid.kappa)
+    write_series(out_dir / "beta.dat", s_column, beta)
     return EXIT_OK
 
 
@@ -388,8 +362,8 @@ def main(argv=None) -> int:
     except (NotAdmissible, InvalidProfile, BadInitialFrame) as err:
         print(f"pgcurves: admissibility error: {err}", file=sys.stderr)
         return EXIT_ADMISSIBILITY
-    except (LexError, ParseError, DomainError, ValueError, KeyError,
-            OSError, json.JSONDecodeError) as err:
+    except (LexError, ParseError, DomainError, DegenerateFit, ValueError,
+            KeyError, OSError, json.JSONDecodeError) as err:
         print(f"pgcurves: input error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -71,15 +71,29 @@ class TestAnalyze:
                      "--output", str(tmp_path / "out")])
         assert code == 1
 
-    def test_threads_match_single(self, tmp_path, cosh_sinh_file):
-        code = main(["analyze", "--input", str(cosh_sinh_file),
-                     "--output", str(tmp_path / "one")])
-        assert code == 0
-        code = main(["analyze", "--input", str(cosh_sinh_file),
-                     "--output", str(tmp_path / "four"), "--threads", "4"])
-        assert code == 0
-        assert ((tmp_path / "one.json").read_text()
-                == (tmp_path / "four.json").read_text())
+    def test_mistyped_curve_field_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"y": 3, "z": "0", "s_min": 0, "s_max": 1}))
+        code = main(["analyze", "--input", str(bad),
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert "field 'y' must be a string" in capsys.readouterr().err
+
+    def test_lightlike_rows_are_strict_json(self, tmp_path):
+        curve = tmp_path / "lightlike.json"
+        curve.write_text(json.dumps({"y": "s^2/2", "z": "s^3/6",
+                                     "s_min": 0.0, "s_max": 2.0, "samples": 21}))
+        out = tmp_path / "report"
+        assert main(["analyze", "--input", str(curve), "--output", str(out)]) == 2
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        text = (tmp_path / "report.json").read_text()
+        payload = json.loads(text, parse_constant=reject)
+        (row,) = [row for row in payload["rows"] if row["s"] == 1.0]
+        assert row["kappa"] is None and row["tau"] is None
+        assert "NaN" in (tmp_path / "report.csv").read_text()
 
     def test_determinism(self, tmp_path, cosh_sinh_file):
         for name in ("a", "b"):
@@ -122,6 +136,20 @@ class TestClassify:
         assert code == 2
         payload = json.loads(out.read_text())
         assert payload["verdict"] is None
+
+    def test_short_grid_exit_1(self, tmp_path, capsys):
+        curve = tmp_path / "short.json"
+        curve.write_text(json.dumps({"y": "cosh(s)", "z": "sinh(s)",
+                                     "s_min": 0.0, "s_max": 1.0, "samples": 7}))
+        s = np.linspace(0.0, 1.0, 7)
+        table = np.column_stack([s, s, np.cosh(s), np.sinh(s)])
+        samples = tmp_path / "short.csv"
+        np.savetxt(samples, table, delimiter=",", header="s,x,y,z", comments="")
+        for path in (curve, samples):
+            code = main(["classify", "--input", str(path),
+                         "--output", str(tmp_path / "verdict.json")])
+            assert code == 1
+            assert "input error: classification needs a grid" in capsys.readouterr().err
 
     def test_origin_shift_changes_m1(self, tmp_path, cosh_sinh_file):
         out = tmp_path / "verdict.json"

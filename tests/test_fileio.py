@@ -2,13 +2,18 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from pgcurves.cli import main
 from pgcurves.fileio import (
+    FloatColumn,
+    FloatTable,
     dumps_json,
     format_float,
+    format_floats,
     load_curve,
     load_curve_csv,
     load_curve_json,
@@ -34,6 +39,36 @@ class TestFormatFloat:
         assert format_float(1.0 / 3.0) == "0.33333333333333331"
 
 
+def _float_corpus():
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               1e-310, 1e308, -1e308, 1.7976931348623157e308, 1.0, -3.0,
+               2.0 ** 53, 1e16, 1.0 / 3.0, float("nan"), float("inf"),
+               float("-inf")]
+    magnitudes = 10.0 ** rng.uniform(-300, 300, 500)
+    signs = rng.choice([-1.0, 1.0], 500)
+    return np.concatenate([special, signs * magnitudes, rng.standard_normal(200)])
+
+
+class TestFormatFloats:
+    def test_matches_format_float(self):
+        corpus = _float_corpus()
+        assert format_floats(corpus) == [format_float(x) for x in corpus]
+
+    def test_empty(self):
+        assert format_floats(np.array([])) == []
+
+    def test_json_text_nulls_only_non_finite(self):
+        corpus = _float_corpus()
+        column = FloatColumn(corpus)
+        json_text = column.json_text()
+        assert json_text.count("null") == 3
+        finite = np.isfinite(corpus)
+        assert ([t for t, ok in zip(json_text, finite) if ok]
+                == [format_float(x) for x in corpus[finite]])
+        assert "NaN" in column.text()
+
+
 class TestDumpsJson:
     def test_parses_back(self):
         payload = {"a": 1, "b": [1.5, "x", None, True], "c": {"d": -0.1}}
@@ -49,6 +84,59 @@ class TestDumpsJson:
 
     def test_empty_containers(self):
         assert json.loads(dumps_json({"a": [], "b": {}})) == {"a": [], "b": {}}
+
+    def test_non_finite_floats_are_null(self):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = {"a": float("nan"), "b": [np.float64("inf"), -math.inf, 1.5]}
+        assert json.loads(dumps_json(payload), parse_constant=reject) == {
+            "a": None, "b": [None, None, 1.5]}
+
+
+@pytest.fixture
+def cosh_sinh_report(tmp_path):
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"y": "2*cosh(s)", "z": "2*sinh(s)",
+                                 "s_min": -1.0, "s_max": 1.0, "samples": 21}))
+    assert main(["analyze", "--input", str(curve),
+                 "--output", str(tmp_path / "report")]) == 0
+    return tmp_path
+
+
+class TestFloatTable:
+    names = ("s", "kappa", "odd%key")
+
+    def _columns(self, n):
+        rng = np.random.default_rng(3)
+        columns = [np.linspace(0.0, 1.0, n), rng.standard_normal(n),
+                   10.0 ** rng.uniform(-300, 300, n)]
+        if n:
+            columns[1][n // 2] = math.nan
+            columns[2][0] = -math.inf
+        return columns
+
+    def _as_dicts(self, columns):
+        return [{name: float(col[i]) for name, col in zip(self.names, columns)}
+                for i in range(columns[0].size)]
+
+    @pytest.mark.parametrize("n", [0, 1, 9])
+    def test_rows_match_list_of_dicts(self, n):
+        columns = self._columns(n)
+        table = FloatTable(self.names, columns)
+        rows = self._as_dicts(columns)
+        assert dumps_json(table) == dumps_json(rows)
+        assert (dumps_json({"schema": 1, "rows": table})
+                == dumps_json({"schema": 1, "rows": rows}))
+
+    def test_csv_and_json_share_strings(self, cosh_sinh_report):
+        json_rows = json.loads((cosh_sinh_report / "report.json").read_text(),
+                               parse_float=str, parse_int=str)["rows"]
+        lines = (cosh_sinh_report / "report.csv").read_text().splitlines()
+        names = lines[0].split(",")
+        csv_rows = [dict(zip(names, line.split(","))) for line in lines[1:]]
+        assert len(json_rows) == len(csv_rows) == 21
+        assert json_rows == csv_rows
 
 
 class TestCurveFiles:
@@ -66,6 +154,23 @@ class TestCurveFiles:
         path = tmp_path / "curve.json"
         path.write_text(json.dumps({"y": "s", "s_min": 0, "s_max": 1}))
         with pytest.raises(ValueError, match="missing"):
+            load_curve_json(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("y", 3, "field 'y' must be a string, got int"),
+        ("z", ["s"], "field 'z' must be a string, got list"),
+        ("param", 1.5, "field 'param' must be a string, got float"),
+        ("s_min", "0", "field 's_min' must be a number, got str"),
+        ("s_max", True, "field 's_max' must be a number, got bool"),
+        ("samples", 2.7, "field 'samples' must be an integer, got float"),
+        ("samples", False, "field 'samples' must be an integer, got bool"),
+    ])
+    def test_json_curve_field_types(self, tmp_path, field, value, message):
+        path = tmp_path / "curve.json"
+        curve = {"param": "s", "y": "cosh(s)", "z": "sinh(s)",
+                 "s_min": 0, "s_max": 2.0, "samples": 11}
+        path.write_text(json.dumps(curve | {field: value}))
+        with pytest.raises(ValueError, match=f"curve.json: {re.escape(message)}"):
             load_curve_json(path)
 
     def test_csv_round_trip(self, tmp_path):
