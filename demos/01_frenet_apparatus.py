@@ -4,8 +4,9 @@ A curve in graph form r(s) = (s, y(s), z(s)) is admissible where
 y''(s)^2 - z''(s)^2 stays away from zero.  There the moving frame
 {t, n, b}, the orientation sign eps, the curvature kappa and the torsion
 tau are all computed from exact third-order jets of the component
-expressions.  This script walks through the basic calls and the built-in
-cross-checks.
+expressions.  frenet_grid evaluates them once on the curve's grid; the
+admissibility report is read off that grid.  This script walks through the
+basic calls and the built-in cross-checks.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ from pgcurves import (
 # --- a curve with unit curvature and unit torsion ------------------------
 curve = curve_from_exprs("cosh(s)", "sinh(s)", 0.0, 2.0)
 
-report = check_admissible(curve)
+report = check_admissible(frenet_grid(curve, strict=False))
 print(f"admissible: {report.admissible} on segments {report.segments}")
 
 f = frame_at(curve, 0.0)
@@ -64,10 +65,11 @@ print(f"\ncurve (s, s^2): eps = {g.eps:+.0f}, kappa = {g.kappa}, "
 
 # --- inadmissible curves are rejected, with segments reported ------------
 line = curve_from_exprs("s", "0", 0.0, 1.0, samples=11)
-print(f"\nstraight line admissible: {check_admissible(line).admissible}")
+print(f"\nstraight line admissible: "
+      f"{check_admissible(frenet_grid(line, strict=False)).admissible}")
 
 split = curve_from_exprs("s^4/12", "s^2/2", 0.0, 2.0)
-rep = check_admissible(split)
+rep = check_admissible(frenet_grid(split, strict=False))
 print(f"curve (s^4/12, s^2/2) admissible: {rep.admissible}; "
       f"constant-sign segments: {rep.segments}")
 

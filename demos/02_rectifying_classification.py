@@ -5,7 +5,8 @@ tangent and binormal, i.e. the principal-normal component beta(s) vanishes.
 Equivalent signatures, all reported by the classifier: the tangential
 component is s + m1, the binormal component is a nonzero constant n1, the
 squared distance is |(s+m1)^2 + e n1^2| with e = <b,b>, and tau/kappa is an
-affine function of s with slope -1/n1.
+affine function of s with slope -1/n1.  All of them are read off one frame
+decomposition of one FrenetGrid.
 """
 
 import numpy as np
@@ -16,14 +17,15 @@ from pgcurves import (
     classify_rectifying,
     curve_from_exprs,
     frame_components,
+    frame_components_arrays,
+    frenet_grid,
     rectifying_drift,
-    rectifying_invariant_spread,
     synth_rectifying,
 )
 
 # --- a non-example first: constant tau/kappa means slope zero ------------
 curve = curve_from_exprs("cosh(s)", "sinh(s)", 0.0, 2.0)
-verdict = classify_rectifying(curve, ORIGIN)
+verdict = classify_rectifying(frame_components_arrays(frenet_grid(curve), ORIGIN))
 print("curve (cosh s, sinh s) from the origin:")
 print(f"  is_rectifying = {verdict.is_rectifying}")
 print(f"  beta_max = {verdict.beta_max:.6f} (normal component is "
@@ -45,15 +47,16 @@ spread = np.max(rectifying_drift(traj, m1, n1))
 print(f"\nsynthesized rectifying curve (m1={m1}, n1={n1}, kappa=1):")
 print(f"  conserved-vector spread along the trajectory: {spread:.2e}")
 
-curve = traj.to_curve(*window)
-verdict = classify_rectifying(curve, ORIGIN)
+grid = frenet_grid(traj.to_curve(*window))
+dec = frame_components_arrays(grid, ORIGIN)
+verdict = classify_rectifying(dec)
 print(f"  is_rectifying = {verdict.is_rectifying}")
 print(f"  fitted m1 = {verdict.m1:.10f} (true {m1})")
 print(f"  fitted n1 = {verdict.n1:.10f} (true {n1})")
 print(f"  tau/kappa slope a = {verdict.a:.10f} (expect -1/n1 = {-1/n1:.10f})")
 print(f"  beta_max = {verdict.beta_max:.2e}")
 
-report = check_rectifying_properties(curve, ORIGIN, verdict, tol=1e-5)
+report = check_rectifying_properties(dec, verdict, tol=1e-5)
 print("\nthe four signatures:")
 print(f"  (i)   distance law        ok={report.distance_ok} "
       f"residual={report.distance_residual:.2e}")
@@ -66,6 +69,6 @@ print(f"  (iv)  binormal const      ok={report.binormal_ok} "
       f"residual={report.binormal_residual:.2e} "
       f"(max |tau| = {report.tau_abs_max:.3f})")
 
-spread = rectifying_invariant_spread(curve, ORIGIN, verdict.m1, verdict.n1)
+spread = rectifying_drift(grid, verdict.m1, verdict.n1)
 print(f"\nconserved vector spread measured through re-analysis: "
       f"{np.max(spread):.2e}")

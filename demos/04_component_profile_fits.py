@@ -20,6 +20,8 @@ from pgcurves import (
     curve_from_exprs,
     fit_normal_components,
     fit_normal_samples,
+    frame_components_arrays,
+    frenet_grid,
     normal_component_exprs,
     normal_ode_residuals,
     synth_normal_components,
@@ -47,7 +49,7 @@ print(f"  profile misfit: xi {fit.xi_residual:.2e}, eta {fit.eta_residual:.2e}")
 # slot, which feeds back into the plane components; the family above assumes
 # that feedback away.  The fit is still well-defined and reports the misfit.
 curve = curve_from_exprs("cosh(s)", "sinh(s)", 0.0, 2.0)
-fit = fit_normal_components(curve, ORIGIN)
+fit = fit_normal_components(frame_components_arrays(frenet_grid(curve), ORIGIN))
 print(f"\ncurve (cosh s, sinh s): measured kappa={fit.kappa0:.6f}, "
       f"tau={fit.tau0:.6f}")
 print(f"  best-fit misfit: xi {fit.xi_residual:.3f}, eta {fit.eta_residual:.3f} "
@@ -56,6 +58,6 @@ print(f"  best-fit misfit: xi {fit.xi_residual:.3f}, eta {fit.eta_residual:.3f} 
 # --- non-constant invariants are rejected up front --------------------------
 varying = curve_from_exprs("exp(s)", "s^2/2", 0.5, 1.5)
 try:
-    fit_normal_components(varying, ORIGIN)
+    fit_normal_components(frame_components_arrays(frenet_grid(varying), ORIGIN))
 except NonConstantInvariants as err:
     print(f"\nvarying-invariant curve rejected: {err}")

@@ -48,9 +48,9 @@ from .classify import (
     fit_normal_components,
     fit_normal_samples,
     frame_components,
+    frame_components_arrays,
     normal_component_exprs,
     normal_ode_residuals,
-    rectifying_invariant_spread,
 )
 from .synth import (
     BadInitialFrame,

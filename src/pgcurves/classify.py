@@ -8,6 +8,9 @@ solve a 2x2 system in the isotropic plane.  The inner products written
 coefficients: the degenerate kernel product of a non-isotropic r with an
 isotropic frame vector is identically zero and carries no information.
 
+A command decomposes once, dec = frame_components_arrays(frenet_grid(curve),
+p0), and every classifier below reads that one FrameDecomposition.
+
 A curve is rectifying when beta vanishes along it.  Equivalent signatures,
 all checked here: alpha(s) = s + m1; gamma(s) = n1 constant and the torsion
 not identically zero; squared distance |alpha^2 + <n,n> beta^2 + <b,b>
@@ -33,15 +36,15 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .dsl import BinOp, Call, Const, Expr, Neg, Var
-from .frenet import DEFAULT_TOL_ADM, CurveDef, FrenetGrid, frenet_grid
+from .frenet import DEFAULT_TOL_ADM, CurveDef, FrenetGrid, NotAdmissible, frenet_grid
 from .space import ORIGIN, PGVector3
 
 __all__ = [
     "SingularFrame", "DegenerateFit", "NonConstantInvariants", "ZeroTorsion",
-    "FrameComponents", "frame_components", "frame_components_arrays",
-    "RectifyingVerdict",
+    "FrameComponents", "FrameDecomposition", "frame_components",
+    "frame_components_arrays", "RectifyingVerdict",
     "classify_rectifying", "RectifyingPropertyReport",
-    "check_rectifying_properties", "rectifying_invariant_spread",
+    "check_rectifying_properties",
     "NormalFit", "fit_normal_components", "fit_normal_samples",
     "normal_component_exprs", "normal_ode_residuals",
     "DEFAULT_TOL_EXACT", "DEFAULT_TOL_SAMPLED",
@@ -76,31 +79,37 @@ class FrameComponents:
     gamma: float
 
 
-def frame_components_arrays(curve: CurveDef, s: np.ndarray, p0: PGVector3,
-                            grid: FrenetGrid | None = None,
-                            tol_adm: float = DEFAULT_TOL_ADM):
-    """alpha, beta, gamma arrays for r(s) - p0 over a grid of parameters."""
-    if grid is None:
-        grid = frenet_grid(curve, s, tol_adm=tol_adm, strict=True)
-    x, y, z = curve.position(s)
-    alpha = x - p0.x
-    py = y - p0.y - alpha * grid.t_y
-    pz = z - p0.z - alpha * grid.t_z
+@dataclass(frozen=True)
+class FrameDecomposition:
+    """Coefficient arrays of r(s) - p0 in the frame basis over one FrenetGrid."""
+
+    grid: FrenetGrid
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+
+
+def frame_components_arrays(grid: FrenetGrid, p0: PGVector3) -> FrameDecomposition:
+    """Decompose r(s) - p0 in the frame at every point of an admissible grid."""
+    if not grid.ok.all():
+        raise NotAdmissible("frame decomposition needs an admissible grid")
+    alpha = grid.r[:, 0] - p0.x
+    py = grid.r[:, 1] - p0.y - alpha * grid.t_y
+    pz = grid.r[:, 2] - p0.z - alpha * grid.t_z
     det = grid.n_y * grid.b_z - grid.b_y * grid.n_z
     if np.any(np.abs(det) < 0.5):
         raise SingularFrame("frame matrix in the isotropic plane is singular")
     beta = (grid.b_z * py - grid.b_y * pz) / det
     gamma = (grid.n_y * pz - grid.n_z * py) / det
-    return alpha, beta, gamma
+    return FrameDecomposition(grid, alpha, beta, gamma)
 
 
 def frame_components(curve: CurveDef, s: float, p0: PGVector3 = ORIGIN,
                      tol_adm: float = DEFAULT_TOL_ADM) -> FrameComponents:
     """Decompose r(s) - p0 in the Frenet basis at one parameter value."""
-    s_arr = np.array([float(s)])
-    grid = frenet_grid(curve, s_arr, tol_adm=tol_adm, strict=True)
-    alpha, beta, gamma = frame_components_arrays(curve, s_arr, p0, grid)
-    return FrameComponents(float(alpha[0]), float(beta[0]), float(gamma[0]))
+    grid = frenet_grid(curve, np.array([float(s)]), tol_adm=tol_adm, strict=True)
+    dec = frame_components_arrays(grid, p0)
+    return FrameComponents(float(dec.alpha[0]), float(dec.beta[0]), float(dec.gamma[0]))
 
 
 @dataclass(frozen=True)
@@ -125,28 +134,31 @@ class RectifyingVerdict:
     tol: float
 
 
-def _classification_grid(curve: CurveDef, p0: PGVector3, tol_adm: float):
-    s = curve.grid()
-    if s.size < 8:
-        raise DegenerateFit("classification needs a grid of at least 8 points")
-    grid = frenet_grid(curve, s, tol_adm=tol_adm, strict=True)
-    alpha, beta, gamma = frame_components_arrays(curve, s, p0, grid)
-    return s, grid, alpha, beta, gamma
+def _squared_distance(dec: FrameDecomposition, m1: float, n1: float):
+    """<n,n>, <b,b>, q = |r - p0|^2 in the frame and max | |q| - |(s+m1)^2 + <b,b> n1^2| |."""
+    g = dec.grid
+    inner_nn = g.n_y ** 2 - g.n_z ** 2
+    inner_bb = g.b_y ** 2 - g.b_z ** 2
+    q = dec.alpha ** 2 + inner_nn * dec.beta ** 2 + inner_bb * dec.gamma ** 2
+    model = (g.s + m1) ** 2 + inner_bb * n1 ** 2
+    return inner_nn, inner_bb, q, float(np.max(np.abs(np.abs(q) - np.abs(model))))
 
 
-def classify_rectifying(curve: CurveDef, p0: PGVector3 = ORIGIN,
-                        tol: float | None = None,
-                        tol_adm: float = DEFAULT_TOL_ADM) -> RectifyingVerdict:
-    """Decide whether the curve is rectifying relative to the origin p0.
+def classify_rectifying(dec: FrameDecomposition,
+                        tol: float | None = None) -> RectifyingVerdict:
+    """Decide whether the decomposed curve is rectifying relative to its origin.
 
-    The verdict is max |beta| <= tol over the curve grid; the default
-    tolerance depends on whether the curve carries exact or sampled
-    components.  Fitted parameters and the residuals of the equivalent
-    characterizations are reported either way.
+    The verdict is max |beta| <= tol over the grid; the default tolerance
+    depends on whether the grid came from exact or sampled components.
+    Fitted parameters and the residuals of the equivalent characterizations
+    are reported either way.
     """
+    grid = dec.grid
+    if grid.s.size < 8:
+        raise DegenerateFit("classification needs a grid of at least 8 points")
     if tol is None:
-        tol = DEFAULT_TOL_EXACT if curve.exact else DEFAULT_TOL_SAMPLED
-    s, grid, alpha, beta, gamma = _classification_grid(curve, p0, tol_adm)
+        tol = DEFAULT_TOL_EXACT if grid.exact else DEFAULT_TOL_SAMPLED
+    s, alpha, beta, gamma = grid.s, dec.alpha, dec.beta, dec.gamma
 
     beta_max = float(np.max(np.abs(beta)))
     m1 = float(np.mean(alpha - s))
@@ -157,11 +169,7 @@ def classify_rectifying(curve: CurveDef, p0: PGVector3 = ORIGIN,
     a, b_coef = (float(c) for c in np.polyfit(s, ratio, 1))
     ratio_residual = float(np.max(np.abs(ratio - (a * s + b_coef))))
 
-    inner_nn = grid.n_y ** 2 - grid.n_z ** 2
-    inner_bb = grid.b_y ** 2 - grid.b_z ** 2
-    q = alpha ** 2 + inner_nn * beta ** 2 + inner_bb * gamma ** 2
-    model = (s + m1) ** 2 + inner_bb * n1 ** 2
-    rho_check = float(np.max(np.abs(np.abs(q) - np.abs(model))))
+    *_, rho_check = _squared_distance(dec, m1, n1)
 
     is_rectifying = bool(beta_max <= tol and abs(n1) > tol and abs(a) > tol)
     return RectifyingVerdict(
@@ -199,21 +207,16 @@ class RectifyingPropertyReport:
                 and self.normal_length_ok and self.binormal_ok)
 
 
-def check_rectifying_properties(curve: CurveDef, p0: PGVector3,
+def check_rectifying_properties(dec: FrameDecomposition,
                                 verdict: RectifyingVerdict,
-                                tol: float = 1e-5,
-                                tol_adm: float = DEFAULT_TOL_ADM) -> RectifyingPropertyReport:
+                                tol: float = 1e-5) -> RectifyingPropertyReport:
     """Verify the four rectifying-curve signatures for a positive verdict."""
     if not verdict.is_rectifying:
         raise ValueError("property report requires a positive rectifying verdict")
-    s, grid, alpha, beta, gamma = _classification_grid(curve, p0, tol_adm)
+    s, alpha, beta, gamma = dec.grid.s, dec.alpha, dec.beta, dec.gamma
     m1, n1 = verdict.m1, verdict.n1
 
-    inner_nn = grid.n_y ** 2 - grid.n_z ** 2
-    inner_bb = grid.b_y ** 2 - grid.b_z ** 2
-    q = alpha ** 2 + inner_nn * beta ** 2 + inner_bb * gamma ** 2
-    model = (s + m1) ** 2 + inner_bb * n1 ** 2
-    distance_residual = float(np.max(np.abs(np.abs(q) - np.abs(model))))
+    inner_nn, inner_bb, q, distance_residual = _squared_distance(dec, m1, n1)
 
     tangential_residual = float(np.max(np.abs(alpha - (s + m1))))
 
@@ -224,7 +227,7 @@ def check_rectifying_properties(curve: CurveDef, p0: PGVector3,
     rho_spread = float(np.max(rho) - np.min(rho))
 
     binormal_residual = float(np.max(np.abs(gamma - n1)))
-    tau_abs_max = float(np.max(np.abs(grid.tau)))
+    tau_abs_max = float(np.max(np.abs(dec.grid.tau)))
 
     return RectifyingPropertyReport(
         distance_ok=bool(distance_residual <= tol),
@@ -240,23 +243,6 @@ def check_rectifying_properties(curve: CurveDef, p0: PGVector3,
         tau_abs_max=tau_abs_max,
         tol=float(tol),
     )
-
-
-def rectifying_invariant_spread(curve: CurveDef, p0: PGVector3,
-                                m1: float, n1: float,
-                                tol_adm: float = DEFAULT_TOL_ADM) -> np.ndarray:
-    """Componentwise spread of r - p0 - (s + m1) t - n1 b over the grid.
-
-    For a rectifying curve this vector is a constant of motion, so each
-    component's spread collapses to the numerical floor.
-    """
-    s = curve.grid()
-    grid = frenet_grid(curve, s, tol_adm=tol_adm, strict=True)
-    x, y, z = curve.position(s)
-    fx = (x - p0.x) - (s + m1)
-    fy = (y - p0.y) - (s + m1) * grid.t_y - n1 * grid.b_y
-    fz = (z - p0.z) - (s + m1) * grid.t_z - n1 * grid.b_z
-    return np.array([float(np.ptp(f)) for f in (fx, fy, fz)])
 
 
 @dataclass(frozen=True)
@@ -343,17 +329,18 @@ def _fit_c_given_invariants(s, xi, eta, kappa, tau):
     return coef
 
 
-def fit_normal_components(curve: CurveDef, p0: PGVector3 = ORIGIN,
-                          tol_constancy: float = 1e-6,
-                          tol_adm: float = DEFAULT_TOL_ADM) -> NormalFit:
+def fit_normal_components(dec: FrameDecomposition,
+                          tol_constancy: float = 1e-6) -> NormalFit:
     """Fit the measured (beta, gamma) components of a constant-invariant curve.
 
     Requires kappa and tau constant over the grid to tol_constancy relative;
     raises NonConstantInvariants otherwise and ZeroTorsion for vanishing
-    torsion.  The invariants are measured from the curve, then (c1..c4) are
+    torsion.  The invariants are measured from the grid, then (c1..c4) are
     fitted jointly by linear least squares.
     """
-    s, grid, alpha, beta, gamma = _classification_grid(curve, p0, tol_adm)
+    grid = dec.grid
+    if grid.s.size < 8:
+        raise DegenerateFit("classification needs a grid of at least 8 points")
     kappa = float(np.mean(grid.kappa))
     tau = float(np.mean(grid.tau))
     if np.max(np.abs(grid.kappa - kappa)) > tol_constancy * abs(kappa):
@@ -363,8 +350,8 @@ def fit_normal_components(curve: CurveDef, p0: PGVector3 = ORIGIN,
     if abs(tau) < 1e-9:
         raise ZeroTorsion("component family is singular at tau = 0")
 
-    coef = _fit_c_given_invariants(s, beta, gamma, kappa, tau)
-    return _build_normal_fit(s, beta, gamma, kappa, tau, coef)
+    coef = _fit_c_given_invariants(grid.s, dec.beta, dec.gamma, kappa, tau)
+    return _build_normal_fit(grid.s, dec.beta, dec.gamma, kappa, tau, coef)
 
 
 def _build_normal_fit(s, xi, eta, kappa, tau, coef) -> NormalFit:

@@ -202,8 +202,8 @@ def _output_base(path: Path) -> Path:
 def cmd_analyze(cfg: RunConfig) -> int:
     curve = _load_curve_with_overrides(cfg)
     tol_adm = cfg.tolerances.get("tol_adm", DEFAULT_TOL_ADM)
-    report_adm = check_admissible(curve, tol_adm=tol_adm)
-    grid = frenet_grid(curve, curve.grid(), tol_adm=tol_adm, strict=False)
+    grid = frenet_grid(curve, tol_adm=tol_adm, strict=False)
+    report_adm = check_admissible(grid)
 
     base = _output_base(cfg.output)
     base.parent.mkdir(parents=True, exist_ok=True)
@@ -234,7 +234,8 @@ def cmd_classify(cfg: RunConfig) -> int:
     tol_classify = cfg.tolerances.get("tol_classify")
     cfg.output.parent.mkdir(parents=True, exist_ok=True)
 
-    report_adm = check_admissible(curve, tol_adm=tol_adm)
+    grid = frenet_grid(curve, tol_adm=tol_adm, strict=False)
+    report_adm = check_admissible(grid)
     payload = {
         "schema": 1,
         "command": "classify",
@@ -252,12 +253,12 @@ def cmd_classify(cfg: RunConfig) -> int:
         write_json(cfg.output, payload)
         return EXIT_ADMISSIBILITY
 
-    verdict = classify_rectifying(curve, cfg.origin, tol=tol_classify,
-                                  tol_adm=tol_adm)
+    dec = frame_components_arrays(grid, cfg.origin)
+    verdict = classify_rectifying(dec, tol=tol_classify)
     normal_fit = None
     normal_fit_error = None
     try:
-        normal_fit = fit_normal_components(curve, cfg.origin, tol_adm=tol_adm)
+        normal_fit = fit_normal_components(dec)
     except (NonConstantInvariants, ZeroTorsion) as err:
         normal_fit_error = str(err)
 
@@ -330,17 +331,16 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_plot_data(cfg: RunConfig) -> int:
     curve = _load_curve_with_overrides(cfg)
     tol_adm = cfg.tolerances.get("tol_adm", DEFAULT_TOL_ADM)
-    s = curve.grid()
-    grid = frenet_grid(curve, s, tol_adm=tol_adm, strict=True)
-    _, beta, _ = frame_components_arrays(curve, s, cfg.origin, grid)
+    grid = frenet_grid(curve, tol_adm=tol_adm, strict=True)
+    dec = frame_components_arrays(grid, cfg.origin)
 
     out_dir = cfg.output
     out_dir.mkdir(parents=True, exist_ok=True)
-    s_column = FloatColumn(s)
+    s_column = FloatColumn(grid.s)
     write_series(out_dir / "kappa.dat", s_column, grid.kappa)
     write_series(out_dir / "tau.dat", s_column, grid.tau)
     write_series(out_dir / "tau_over_kappa.dat", s_column, grid.tau / grid.kappa)
-    write_series(out_dir / "beta.dat", s_column, beta)
+    write_series(out_dir / "beta.dat", s_column, dec.beta)
     return EXIT_OK
 
 

@@ -12,10 +12,12 @@ Grammar (EBNF, also documented in the README):
 
 Each expression has exactly one free variable, the curve parameter (by
 default "s").  Exponents of "^" must be constant subexpressions.  Numbers
-are decimal literals with optional fraction and exponent.
+are decimal literals of ASCII digits with optional fraction and exponent;
+a literal too large for a float is a LexError.
 """
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +103,10 @@ class Token:
     value: float = 0.0
 
 
+# ASCII digits only: str.isdigit() would also accept other scripts' digits
+_NUMBER = re.compile(r"[0-9]+(\.[0-9]*)?([eE][+-]?[0-9]+)?")
+
+
 def _byte_offset(source: str, index: int) -> int:
     return len(source[:index].encode("utf-8"))
 
@@ -115,29 +121,19 @@ def tokenize(source: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            if i < n and source[i] == ".":
-                dot = i
-                i += 1
-                if i >= n or not source[i].isdigit():
-                    raise LexError("expected digits after decimal point",
-                                   _byte_offset(source, dot))
-                while i < n and source[i].isdigit():
-                    i += 1
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j].isdigit():
-                    i = j
-                    while i < n and source[i].isdigit():
-                        i += 1
-                # otherwise the e/E starts an identifier token
-            text = source[start:i]
-            tokens.append(Token("NUM", text, _byte_offset(source, start), float(text)))
+        if "0" <= ch <= "9":
+            # an e/E without exponent digits is left to start an identifier
+            number = _NUMBER.match(source, i)
+            text, fraction = number.group(), number.group(1)
+            if fraction == ".":
+                raise LexError("expected digits after decimal point",
+                               _byte_offset(source, number.start(1)))
+            value = float(text)
+            if math.isinf(value):
+                raise LexError(f"number {text!r} overflows a float",
+                               _byte_offset(source, i))
+            tokens.append(Token("NUM", text, _byte_offset(source, i), value))
+            i = number.end()
             continue
         if ch.isalpha() or ch == "_":
             start = i
@@ -354,12 +350,17 @@ def _const_value(e: Expr) -> float:
             if b == 0.0:
                 raise DomainError("division by zero in constant exponent")
             return a / b
-        return a ** b
+        value = a ** b
+        if isinstance(value, complex):
+            raise DomainError(f"complex value of constant '{to_source(e)}'")
+        return value
     if isinstance(e, Call):
-        fn = getattr(math, e.func, None)
-        if e.func == "abs":
-            fn = abs
-        return fn(_const_value(e.arg))
+        fn = abs if e.func == "abs" else getattr(math, e.func)
+        arg = _const_value(e.arg)
+        try:
+            return fn(arg)
+        except ValueError:
+            raise DomainError(f"'{to_source(e)}' is outside the domain of {e.func}") from None
     raise DomainError("expected a constant expression")
 
 

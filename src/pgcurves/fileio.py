@@ -20,6 +20,7 @@ and optional appended frame columns t_y, t_z, n_y, n_z, b_y, b_z.
 
 import json
 import math
+import warnings
 
 import numpy as np
 
@@ -203,7 +204,11 @@ def load_curve_csv(path) -> CurveDef:
         names = [c.strip() for c in header.split(",")]
         if names[:4] != ["s", "x", "y", "z"]:
             raise ValueError(f"{path}: expected columns s,x,y,z, got {names[:4]}")
-        data = np.loadtxt(handle, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(handle, delimiter=",", ndmin=2)
+    if data.size == 0:
+        raise ValueError(f"{path}: the file has no samples")
     if data.shape[1] != len(names):
         raise ValueError(f"{path}: row width does not match the header")
     return curve_from_samples(data[:, 0], data[:, 2], data[:, 3], x=data[:, 1])

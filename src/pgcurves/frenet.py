@@ -14,6 +14,9 @@ det(t, n, b) = 1, and the torsion is tau = (y'' z''' - y''' z'') / kappa^2.
 
 Components y and z come either from DSL expressions (exact derivative path)
 or from quintic splines through sampled points (relaxed tolerances).
+
+A command evaluates its curve once, in frenet_grid; check_admissible and
+the frame decomposition in classify read the FrenetGrid it returns.
 """
 
 from dataclasses import dataclass, field
@@ -149,14 +152,20 @@ class FrenetData:
 class FrenetGrid:
     """Frame apparatus evaluated on a parameter grid (vectorized).
 
-    ok marks admissible points; rows where ok is False hold NaN.  res_t,
-    res_n, res_b are the Euclidean norms of the frame-equation residuals
-    t' - kappa n, n' - tau b, b' - tau n, with frame derivatives obtained by
-    differentiating the frame component formulas themselves.
+    ok marks admissible points (|disc| >= tol_adm); frame and invariant rows
+    where ok is False hold NaN.  r (shape (N, 3)) and disc = y''^2 - z''^2
+    are never masked.  res_t, res_n, res_b are the Euclidean norms of the
+    frame-equation residuals t' - kappa n, n' - tau b, b' - tau n, with frame
+    derivatives obtained by differentiating the frame component formulas
+    themselves.  exact records whether the curve has expression components.
     """
 
     s: np.ndarray
+    r: np.ndarray
+    disc: np.ndarray
     ok: np.ndarray
+    tol_adm: float
+    exact: bool
     eps: np.ndarray
     kappa: np.ndarray
     tau: np.ndarray
@@ -210,6 +219,11 @@ def _component_jets(curve: CurveDef, s: np.ndarray) -> tuple[Jet3, Jet3]:
     return yj, zj
 
 
+def _discriminant(yj: Jet3, zj: Jet3) -> np.ndarray:
+    """y''^2 - z''^2, whose sign is eps and whose root magnitude is kappa."""
+    return yj.d2 ** 2 - zj.d2 ** 2
+
+
 def frenet_grid(curve: CurveDef, s=None, tol_adm: float = DEFAULT_TOL_ADM,
                 strict: bool = True) -> FrenetGrid:
     """Evaluate the full Frenet apparatus on a grid of parameter values.
@@ -222,7 +236,7 @@ def frenet_grid(curve: CurveDef, s=None, tol_adm: float = DEFAULT_TOL_ADM,
     s = np.atleast_1d(np.asarray(s, dtype=float))
     yj, zj = _component_jets(curve, s)
 
-    d = yj.d2 ** 2 - zj.d2 ** 2
+    d = _discriminant(yj, zj)
     ok = np.abs(d) >= tol_adm
     if strict and not ok.all():
         bad = s[~ok]
@@ -258,7 +272,11 @@ def frenet_grid(curve: CurveDef, s=None, tol_adm: float = DEFAULT_TOL_ADM,
 
     return FrenetGrid(
         s=s,
+        r=np.column_stack([s + curve.x_offset, yj.v, zj.v]),
+        disc=d,
         ok=ok,
+        tol_adm=tol_adm,
+        exact=curve.exact,
         eps=_mask(eps),
         kappa=_mask(kappa.v),
         tau=_mask(tau),
@@ -291,7 +309,7 @@ def torsion_det(curve: CurveDef, s, tol_adm: float = DEFAULT_TOL_ADM):
     scalar = np.ndim(s) == 0
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     yj, zj = _component_jets(curve, s_arr)
-    d = yj.d2 ** 2 - zj.d2 ** 2
+    d = _discriminant(yj, zj)
     if np.any(np.abs(d) < tol_adm):
         raise NotAdmissible("curve not admissible at requested point(s)")
     kappa = np.sqrt(np.abs(d))
@@ -318,37 +336,24 @@ def frenet_residuals(curve: CurveDef, s, tol_adm: float = DEFAULT_TOL_ADM):
     return grid.res_t, grid.res_n, grid.res_b
 
 
-def check_admissible(curve: CurveDef, tol_adm: float = DEFAULT_TOL_ADM) -> AdmissibilityReport:
-    """Report grid points where y''^2 - z''^2 falls below the tolerance.
+def check_admissible(grid: FrenetGrid) -> AdmissibilityReport:
+    """Report points of a strict=False grid where |y''^2 - z''^2| < tol_adm.
 
     The curve is accepted only when no point violates the bound and the sign
     of y''^2 - z''^2 is constant across the grid; otherwise the report lists
     the maximal constant-sign admissible segments.
     """
-    s = curve.grid()
-    yj, zj = _component_jets(curve, s)
-    d = yj.d2 ** 2 - zj.d2 ** 2
-    ok = np.abs(d) >= tol_adm
+    s, d, ok = grid.s, grid.disc, grid.ok
+    violations = list(zip(s[~ok].tolist(), d[~ok].tolist()))
 
-    violations = [(float(si), float(di)) for si, di in zip(s[~ok], d[~ok])]
-
-    segments = []
-    start = None
-    sign = 0.0
-    for i in range(s.size):
-        if not ok[i] or (start is not None and np.sign(d[i]) != sign):
-            if start is not None:
-                segments.append((float(s[start]), float(s[i - 1])))
-            start = i if ok[i] else None
-            sign = np.sign(d[i]) if ok[i] else 0.0
-        elif start is None:
-            start = i
-            sign = np.sign(d[i])
-    if start is not None:
-        segments.append((float(s[start]), float(s[-1])))
+    # a segment breaks at a violation and where the sign of d flips
+    breaks = np.diff(np.sign(d)) != 0
+    starts = ok & np.concatenate([[True], ~ok[:-1] | breaks])
+    ends = ok & np.concatenate([~ok[1:] | breaks, [True]])
+    segments = list(zip(s[starts].tolist(), s[ends].tolist()))
 
     admissible = not violations and len(segments) == 1
-    return AdmissibilityReport(admissible=admissible, tol=tol_adm,
+    return AdmissibilityReport(admissible=admissible, tol=grid.tol_adm,
                                violations=violations, segments=segments)
 
 

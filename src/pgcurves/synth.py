@@ -35,7 +35,7 @@ import numpy as np
 
 from .classify import normal_component_exprs
 from .dsl import BinOp, Const, Expr, Neg, Var, as_expr
-from .frenet import CurveDef, curve_from_samples
+from .frenet import CurveDef, FrenetGrid, curve_from_samples
 from .space import PGVector3
 
 __all__ = [
@@ -261,8 +261,8 @@ def synth_rectifying(m1: float, n1: float, kappa, s_range,
     return integrate_frenet(p, start, step=step)
 
 
-def rectifying_drift(traj: FrenetTrajectory, m1: float, n1: float) -> np.ndarray:
-    """Componentwise spread of r - (s + m1) t - n1 b along a trajectory."""
+def rectifying_drift(traj: FrenetTrajectory | FrenetGrid, m1: float, n1: float) -> np.ndarray:
+    """Componentwise spread of r - (s + m1) t - n1 b over a trajectory or grid."""
     lam = traj.s + m1
     fx = traj.r[:, 0] - lam
     fy = traj.r[:, 1] - lam * traj.t_y - n1 * traj.b_y

@@ -16,6 +16,7 @@ from .classify import (
     check_rectifying_properties,
     classify_rectifying,
     fit_normal_samples,
+    frame_components_arrays,
     normal_component_exprs,
     normal_ode_residuals,
 )
@@ -243,14 +244,14 @@ def check_rectifying_suite(rng, draws: int = 50, step: float = 1e-3,
         traj = synth_rectifying(m1, n1, f"{kappa!r}", window, step=step, margin=0.05)
         worst_cons = max(worst_cons, float(np.max(rectifying_drift(traj, m1, n1))))
 
-        curve = traj.to_curve(*window)
-        verdict = classify_rectifying(curve, ORIGIN)
+        dec = frame_components_arrays(frenet_grid(traj.to_curve(*window)), ORIGIN)
+        verdict = classify_rectifying(dec)
         all_verdicts = all_verdicts and verdict.is_rectifying
         worst_beta = max(worst_beta, verdict.beta_max)
         worst_params = max(worst_params, abs(verdict.m1 - m1), abs(verdict.n1 - n1))
         worst_slope = max(worst_slope, abs(verdict.a * n1 + 1.0))
 
-        report = check_rectifying_properties(curve, ORIGIN, verdict, tol=tol_properties)
+        report = check_rectifying_properties(dec, verdict, tol=tol_properties)
         all_props = all_props and report.all_ok
         worst_prop = max(worst_prop, report.distance_residual,
                          report.tangential_residual,
@@ -258,7 +259,7 @@ def check_rectifying_suite(rng, draws: int = 50, step: float = 1e-3,
                          report.binormal_residual)
 
         # these curves sit on the timelike-binormal branch: <b, b> = -1
-        g = frenet_grid(curve)
+        g = dec.grid
         worst_bb = max(worst_bb, float(np.max(np.abs(g.b_y**2 - g.b_z**2 + 1.0))))
     return [
         CheckResult("rectifying_beta", all_verdicts and worst_beta <= tol_beta,

@@ -11,15 +11,20 @@ from pgcurves.classify import (
     fit_normal_components,
     fit_normal_samples,
     frame_components,
+    frame_components_arrays,
     normal_component_exprs,
     normal_ode_residuals,
 )
 from pgcurves.dsl import Const
-from pgcurves.frenet import curve_from_exprs, frame_at, frenet_grid
+from pgcurves.frenet import NotAdmissible, curve_from_exprs, frame_at, frenet_grid
 from pgcurves.space import ORIGIN, PGVector3
 
 COSH_SINH = curve_from_exprs("cosh(s)", "sinh(s)", 0.0, 2.0)
 PARABOLA = curve_from_exprs("s^2/2", "0", -1.0, 1.0)
+
+
+def _decompose(curve):
+    return frame_components_arrays(frenet_grid(curve), ORIGIN)
 
 
 def _position(curve, s):
@@ -91,10 +96,17 @@ class TestFrameComponents:
         assert shifted.beta == pytest.approx(base.beta, abs=1e-13)
         assert shifted.gamma == pytest.approx(base.gamma, abs=1e-13)
 
+    def test_inadmissible_grid_rejected(self):
+        # y''^2 - z''^2 = s^4 - 1 vanishes at the grid point s = 1
+        grid = frenet_grid(curve_from_exprs("s^4/12", "s^2/2", 0.0, 2.0),
+                           strict=False)
+        with pytest.raises(NotAdmissible):
+            frame_components_arrays(grid, ORIGIN)
+
 
 class TestClassifyRectifying:
     def test_cosh_sinh_not_rectifying(self):
-        verdict = classify_rectifying(COSH_SINH, ORIGIN)
+        verdict = classify_rectifying(_decompose(COSH_SINH))
         assert not verdict.is_rectifying
         # normal component is identically 1, ratio tau/kappa identically 1
         assert verdict.beta_max == pytest.approx(1.0, rel=1e-10)
@@ -102,19 +114,19 @@ class TestClassifyRectifying:
         assert verdict.ratio_residual <= 1e-9
 
     def test_parabola_not_rectifying(self):
-        verdict = classify_rectifying(PARABOLA, ORIGIN)
+        verdict = classify_rectifying(_decompose(PARABOLA))
         assert not verdict.is_rectifying
         assert verdict.a == 0.0  # torsion vanishes identically
 
     def test_needs_enough_grid_points(self):
         tiny = curve_from_exprs("cosh(s)", "sinh(s)", 0.0, 1.0, samples=5)
         with pytest.raises(DegenerateFit):
-            classify_rectifying(tiny, ORIGIN)
+            classify_rectifying(_decompose(tiny))
 
     def test_grid_refinement_does_not_flip(self):
-        coarse = classify_rectifying(COSH_SINH, ORIGIN)
-        fine = classify_rectifying(
-            curve_from_exprs("cosh(s)", "sinh(s)", 0.0, 2.0, samples=2001), ORIGIN)
+        coarse = classify_rectifying(_decompose(COSH_SINH))
+        fine = classify_rectifying(_decompose(
+            curve_from_exprs("cosh(s)", "sinh(s)", 0.0, 2.0, samples=2001)))
         assert coarse.is_rectifying == fine.is_rectifying
 
 
@@ -205,7 +217,7 @@ class TestFitNormalComponents:
         # beta = 1 fits the family but gamma = -s cannot; the admissible
         # graph-form geometry keeps real curves out of the family, so the
         # fit must report a visible misfit rather than fail
-        fit = fit_normal_components(COSH_SINH, ORIGIN)
+        fit = fit_normal_components(_decompose(COSH_SINH))
         assert fit.kappa0 == pytest.approx(1.0, abs=1e-9)
         assert fit.tau0 == pytest.approx(1.0, abs=1e-9)
         assert max(fit.xi_residual, fit.eta_residual) > 1e-2
@@ -215,8 +227,8 @@ class TestFitNormalComponents:
     def test_varying_invariants_rejected(self):
         varying = curve_from_exprs("exp(s)", "s^2/2", 0.5, 1.5)
         with pytest.raises(NonConstantInvariants):
-            fit_normal_components(varying, ORIGIN)
+            fit_normal_components(_decompose(varying))
 
     def test_zero_torsion_rejected(self):
         with pytest.raises(ZeroTorsion):
-            fit_normal_components(PARABOLA, ORIGIN)
+            fit_normal_components(_decompose(PARABOLA))

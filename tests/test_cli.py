@@ -7,7 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+import pgcurves.cli
 from pgcurves.cli import main
+from pgcurves.dsl import Expr
+from pgcurves.frenet import SampledScalar
 
 
 @pytest.fixture
@@ -78,6 +81,26 @@ class TestAnalyze:
                      "--output", str(tmp_path / "out")])
         assert code == 1
         assert "field 'y' must be a string" in capsys.readouterr().err
+
+    def test_header_only_csv_exit_1(self, tmp_path, capsys, recwarn):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("s,x,y,z\n")
+        code = main(["analyze", "--input", str(empty),
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert "the file has no samples" in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
+    @pytest.mark.parametrize("y, node", [("s^log(0-1)", "log(0.0 - 1.0)"),
+                                         ("s^((0-8)^(1/3))", "(0.0 - 8.0)^(1.0/3.0)")])
+    def test_constant_exponent_outside_domain_exit_1(self, tmp_path, capsys, y, node):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"y": y, "z": "0", "s_min": 1, "s_max": 2}))
+        code = main(["analyze", "--input", str(bad),
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "pgcurves: input error:" in err and f"'{node}'" in err
 
     def test_lightlike_rows_are_strict_json(self, tmp_path):
         curve = tmp_path / "lightlike.json"
@@ -158,6 +181,57 @@ class TestClassify:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["parameters"]["m1"] == pytest.approx(-5.0, abs=1e-9)
+
+
+class TestOneEvaluationPerCommand:
+    """Each command evaluates the loaded curve's component jets exactly once."""
+
+    @pytest.fixture
+    def jet_calls(self, monkeypatch):
+        calls, loaded = {}, []
+        load = pgcurves.cli.load_curve
+
+        def load_and_note(path):
+            curve = load(path)
+            loaded.append(curve)
+            return curve
+
+        def counting(jet3):
+            def wrapper(component, s):
+                calls[id(component)] = calls.get(id(component), 0) + 1
+                return jet3(component, s)
+            return wrapper
+
+        monkeypatch.setattr(pgcurves.cli, "load_curve", load_and_note)
+        monkeypatch.setattr(Expr, "jet3", counting(Expr.jet3))
+        monkeypatch.setattr(SampledScalar, "jet3", counting(SampledScalar.jet3))
+
+        def per_component():
+            (curve,) = loaded
+            return [calls.get(id(curve.y), 0), calls.get(id(curve.z), 0)]
+
+        return per_component
+
+    @pytest.fixture
+    def cosh_sinh_csv(self, tmp_path):
+        s = np.linspace(0.0, 2.0, 201)
+        path = tmp_path / "curve.csv"
+        np.savetxt(path, np.column_stack([s, s, np.cosh(s), np.sinh(s)]),
+                   delimiter=",", header="s,x,y,z", comments="")
+        return path
+
+    @pytest.mark.parametrize("command, source", [
+        ("analyze", "cosh_sinh_file"),
+        ("classify", "cosh_sinh_file"),
+        ("classify", "cosh_sinh_csv"),
+        ("plot-data", "cosh_sinh_file"),
+    ])
+    def test_jets_evaluated_once(self, request, tmp_path, jet_calls, command, source):
+        path = request.getfixturevalue(source)
+        code = main([command, "--input", str(path),
+                     "--output", str(tmp_path / "out")])
+        assert code == 0
+        assert jet_calls() == [1, 1]
 
 
 class TestSynthesize:

@@ -1,5 +1,7 @@
 """Tokenizer, parser and jet-evaluation tests for the expression DSL."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -50,6 +52,18 @@ class TestTokenize:
     def test_e_not_followed_by_digits_is_identifier(self):
         tokens = tokenize("2e")
         assert [(t.kind, t.text) for t in tokens] == [("NUM", "2"), ("IDENT", "e")]
+
+    @pytest.mark.parametrize("source, offset", [("\u0663*s", 0), ("s + \u00b2", 4)])
+    def test_non_ascii_digits_rejected(self, source, offset):
+        with pytest.raises(LexError) as err:
+            tokenize(source)
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("source, offset", [("1e999", 0), ("s + 2.5e400", 4)])
+    def test_overflowing_literal_rejected(self, source, offset):
+        with pytest.raises(LexError, match="overflows") as err:
+            tokenize(source)
+        assert err.value.offset == offset
 
     def test_offsets(self):
         tokens = tokenize(" s + 1")
@@ -143,6 +157,14 @@ class TestEvalJet:
             eval_jet3(parse_expr("log(s-2)"), 1.0)
         with pytest.raises(DomainError, match=r"division by zero.*s - 1"):
             eval_jet3(parse_expr("1/(s-1)"), 1.0)
+
+    @pytest.mark.parametrize("source, node", [
+        ("s^log(0-1)", "log(0.0 - 1.0)"),
+        ("s^((0-8)^(1/3))", "(0.0 - 8.0)^(1.0/3.0)"),
+    ])
+    def test_constant_exponent_outside_domain(self, source, node):
+        with pytest.raises(DomainError, match=re.escape(f"'{node}'")):
+            eval_jet3(parse_expr(source), 1.0)
 
     def test_overflow_is_domain_error(self):
         with pytest.raises(DomainError):

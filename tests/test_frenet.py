@@ -1,11 +1,13 @@
 """Frenet apparatus tests: admissibility, frames, torsion oracle, residuals."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from pgcurves.frenet import (
+    DEFAULT_TOL_ADM,
     NotAdmissible,
     check_admissible,
     curve_from_exprs,
@@ -17,6 +19,11 @@ from pgcurves.frenet import (
     torsion_det,
 )
 from pgcurves.space import PGVector3, det3, pg_inner
+
+
+def _admissibility(curve, tol_adm=DEFAULT_TOL_ADM):
+    return check_admissible(frenet_grid(curve, tol_adm=tol_adm, strict=False))
+
 
 COSH_SINH = curve_from_exprs("cosh(s)", "sinh(s)", 0.0, 2.0)
 PARABOLA = curve_from_exprs("s^2/2", "0", -1.0, 1.0)
@@ -53,27 +60,67 @@ class TestCurveDef:
 
 class TestAdmissibility:
     def test_parabola_admissible(self):
-        report = check_admissible(PARABOLA)
+        report = _admissibility(PARABOLA)
         assert report.admissible and not report.violations
         assert report.segments == [(-1.0, 1.0)]
 
     def test_line_rejected_everywhere(self):
-        report = check_admissible(curve_from_exprs("s", "0", 0.0, 1.0, samples=11))
+        report = _admissibility(curve_from_exprs("s", "0", 0.0, 1.0, samples=11))
         assert not report.admissible
         assert len(report.violations) == 11
 
     def test_cosh_sinh_admissible(self):
-        assert check_admissible(COSH_SINH).admissible
+        assert _admissibility(COSH_SINH).admissible
 
     def test_sign_change_splits_segments(self):
         # second-derivative difference s^4 - 1 crosses zero at s = 1
         c = curve_from_exprs("s^4/12", "s^2/2", 0.0, 2.0, samples=1001)
-        report = check_admissible(c)
+        report = _admissibility(c)
         assert not report.admissible
         assert len(report.segments) == 2
         (a_lo, a_hi), (b_lo, b_hi) = report.segments
         assert a_lo == 0.0 and b_hi == 2.0
         assert a_hi < 1.0 < b_lo
+
+    # y''^2 - z''^2 is s^2 for (s^3/6, 0) and s^4 - 1 for (s^4/12, s^2/2);
+    # both vanish exactly at the listed grid points
+    @pytest.mark.parametrize("y, z, s, bad, segments", [
+        ("s^3/6", "0", [0.0, 0.5, 1.0], [0.0], [(0.5, 1.0)]),
+        ("s^3/6", "0", [-1.0, -0.5, 0.0], [0.0], [(-1.0, -0.5)]),
+        ("s^4/12", "s^2/2", [-1.0, 0.5, 1.0], [-1.0, 1.0], [(0.5, 0.5)]),
+        ("s^4/12", "s^2/2", [0.0, 0.5, 1.5, 2.0], [], [(0.0, 0.5), (1.5, 2.0)]),
+        ("s", "0", [0.0, 0.5, 1.0], [0.0, 0.5, 1.0], []),
+    ], ids=["first-point", "last-point", "one-point-segment", "sign-flip",
+            "all-violations"])
+    def test_segment_edges(self, y, z, s, bad, segments):
+        c = curve_from_exprs(y, z, -2.0, 2.0)
+        report = check_admissible(frenet_grid(c, np.array(s), strict=False))
+        assert report.violations == [(si, 0.0) for si in bad]
+        assert report.segments == segments
+        assert not report.admissible
+
+    def test_segments_match_sequential_scan(self):
+        # reference: the per-point scan that the vectorized segments replace
+        def scan(s, d, ok):
+            segments, start, sign = [], None, 0.0
+            for i in range(s.size):
+                if not ok[i] or (start is not None and np.sign(d[i]) != sign):
+                    if start is not None:
+                        segments.append((float(s[start]), float(s[i - 1])))
+                    start = i if ok[i] else None
+                    sign = np.sign(d[i]) if ok[i] else 0.0
+                elif start is None:
+                    start, sign = i, np.sign(d[i])
+            if start is not None:
+                segments.append((float(s[start]), float(s[-1])))
+            return segments
+
+        rng = np.random.default_rng(7)
+        base = frenet_grid(COSH_SINH, np.linspace(0.0, 2.0, 40), strict=False)
+        for _ in range(200):
+            d = rng.choice([-1.0, 0.0, 1.0], size=40) * rng.uniform(0.5, 2.0, size=40)
+            grid = dataclasses.replace(base, disc=d, ok=np.abs(d) >= base.tol_adm)
+            assert check_admissible(grid).segments == scan(grid.s, d, grid.ok)
 
 
 class TestFrameAt:
@@ -220,7 +267,7 @@ class TestReparametrize:
         assert y == pytest.approx(0.65, abs=1e-9)
         assert z == pytest.approx(0.0, abs=1e-12)
         # and the result fails the second-derivative admissibility condition
-        assert not check_admissible(c, tol_adm=1e-8).admissible
+        assert not _admissibility(c, tol_adm=1e-8).admissible
 
     def test_stationary_point_rejected(self):
         with pytest.raises(NotAdmissible):

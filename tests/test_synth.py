@@ -8,7 +8,7 @@ import pytest
 from pgcurves.classify import (
     check_rectifying_properties,
     classify_rectifying,
-    rectifying_invariant_spread,
+    frame_components_arrays,
 )
 from pgcurves.dsl import DomainError
 from pgcurves.frenet import frenet_grid
@@ -24,6 +24,10 @@ from pgcurves.synth import (
     synth_normal_components,
     synth_rectifying,
 )
+
+
+def _decompose(curve):
+    return frame_components_arrays(frenet_grid(curve), ORIGIN)
 
 
 class TestIntegrateFrenet:
@@ -153,7 +157,7 @@ class TestSynthRectifying:
     def test_round_trip_classification(self):
         traj = synth_rectifying(0.0, 1.0, "1", (0.0, 2.0), step=1e-3, margin=0.05)
         curve = traj.to_curve(0.0, 2.0)
-        verdict = classify_rectifying(curve, ORIGIN)
+        verdict = classify_rectifying(_decompose(curve))
         assert verdict.is_rectifying
         assert verdict.beta_max <= 1e-6
         assert verdict.m1 == pytest.approx(0.0, abs=1e-5)
@@ -166,7 +170,7 @@ class TestSynthRectifying:
         traj = synth_rectifying(m1, n1, "2", (-m1 - 1.0, -m1 + 1.0),
                                 step=1e-3, margin=0.05)
         curve = traj.to_curve(-m1 - 1.0, -m1 + 1.0)
-        verdict = classify_rectifying(curve, ORIGIN)
+        verdict = classify_rectifying(_decompose(curve))
         assert verdict.is_rectifying
         assert verdict.m1 == pytest.approx(m1, abs=1e-5)
         assert verdict.n1 == pytest.approx(n1, abs=1e-5)
@@ -174,23 +178,23 @@ class TestSynthRectifying:
 
     def test_property_report_passes(self):
         traj = synth_rectifying(0.5, 1.2, "1", (-1.5, 0.5), step=1e-3, margin=0.05)
-        curve = traj.to_curve(-1.5, 0.5)
-        verdict = classify_rectifying(curve, ORIGIN)
-        report = check_rectifying_properties(curve, ORIGIN, verdict, tol=1e-5)
+        dec = _decompose(traj.to_curve(-1.5, 0.5))
+        verdict = classify_rectifying(dec)
+        report = check_rectifying_properties(dec, verdict, tol=1e-5)
         assert report.all_ok
 
     def test_property_report_requires_positive_verdict(self):
         from pgcurves.frenet import curve_from_exprs
 
-        curve = curve_from_exprs("cosh(s)", "sinh(s)", 0.0, 2.0)
-        verdict = classify_rectifying(curve, ORIGIN)
+        dec = _decompose(curve_from_exprs("cosh(s)", "sinh(s)", 0.0, 2.0))
+        verdict = classify_rectifying(dec)
         with pytest.raises(ValueError):
-            check_rectifying_properties(curve, ORIGIN, verdict)
+            check_rectifying_properties(dec, verdict)
 
     def test_invariant_spread_matches_drift(self):
         traj = synth_rectifying(0.0, 1.0, "1", (0.0, 2.0), step=1e-3, margin=0.05)
         curve = traj.to_curve(0.0, 2.0)
-        spread = rectifying_invariant_spread(curve, ORIGIN, 0.0, 1.0)
+        spread = rectifying_drift(frenet_grid(curve), 0.0, 1.0)
         assert np.all(spread <= 1e-6)
 
     def test_zero_n1_rejected(self):
