@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .dsl import BinOp, Call, Const, Expr, Neg, Var
 from .frenet import DEFAULT_TOL_ADM, CurveDef, FrenetGrid, NotAdmissible, frenet_grid
@@ -52,6 +51,13 @@ __all__ = [
 
 DEFAULT_TOL_EXACT = 1e-6
 DEFAULT_TOL_SAMPLED = 1e-4
+
+# Blind fit: |tau| range of the fallback scan, half-width of the prescan
+# window relative to max(1, |tau|), and the relative spacings of the
+# parabola-vertex cascade.
+_TAU_SCAN = (0.05, 6.0)
+_PRESCAN_REL_WIDTH = 0.02
+_POLISH_REL_DELTAS = (1e-3, 1e-5, 1e-7, 1e-9)
 
 
 class SingularFrame(Exception):
@@ -284,22 +290,16 @@ def normal_component_exprs(kappa: float, tau: float,
     return xi, eta
 
 
-def _jet_at(component, s):
-    if hasattr(component, "jet3"):
-        return component.jet3(s)
-    return component(s)
-
-
 def normal_ode_residuals(xi, eta, kappa: float, tau: float, grid) -> tuple[float, float]:
     """Max residuals of the normal-component system on the grid.
 
-    xi and eta are jet-evaluable (Expr, SampledScalar or a callable
-    returning Jet3).  Returns the max over the grid of
+    xi and eta are jet-evaluable (an Expr or SampledScalar, anything with
+    .jet3).  Returns the max over the grid of
     |xi'' + 2 tau eta' + tau^2 xi - kappa| and |eta'' + 2 tau xi' + tau^2 eta|.
     """
     s = np.asarray(grid, dtype=float)
-    xj = _jet_at(xi, s)
-    ej = _jet_at(eta, s)
+    xj = xi.jet3(s)
+    ej = eta.jet3(s)
     r1 = np.max(np.abs(xj.d2 + 2.0 * tau * ej.d1 + tau ** 2 * xj.v - kappa))
     r2 = np.max(np.abs(ej.d2 + 2.0 * tau * xj.d1 + tau ** 2 * ej.v))
     return float(r1), float(r2)
@@ -382,25 +382,28 @@ def _split_projection_residual(s, u, v, tau):
     return float(np.dot(res_u, res_u) + np.dot(res_v, res_v)), cu, cv
 
 
-def _parabolic_polish(fun, x0: float,
-                      rel_deltas=(1e-3, 1e-5, 1e-7, 1e-9)) -> float:
+def _parabolic_polish(fun, x0: float) -> float:
     """Refine a smooth scalar minimum by parabola-vertex steps.
 
-    The bounded scalar minimizer stalls near sqrt(machine eps) relative
-    accuracy; the squared projection residual is smooth in tau, so a cascade
-    of parabola fits at shrinking spacing recovers the vertex to near
-    machine precision.
+    The squared projection residual is smooth in tau, so a cascade of
+    parabola fits at shrinking spacing recovers the vertex to near machine
+    precision; a generic bracketing minimizer stalls near sqrt(machine eps)
+    relative accuracy.  A vertex may lie many spacings away (the residual is
+    not quadratic at the coarse levels, and each finer level must be able to
+    correct that), so a step is capped only by the prescan window and is
+    taken only when it lowers the residual.
     """
     x = x0
-    for rel in rel_deltas:
+    max_step = _PRESCAN_REL_WIDTH * max(1.0, abs(x0))
+    for rel in _POLISH_REL_DELTAS:
         d = rel * max(1.0, abs(x))
         f_minus, f_0, f_plus = fun(x - d), fun(x), fun(x + d)
         denom = f_minus - 2.0 * f_0 + f_plus
         if denom <= 0.0:
             continue
         step = 0.5 * d * (f_minus - f_plus) / denom
-        if abs(step) > d:
-            step = math.copysign(d, step)
+        if abs(step) > max_step:
+            step = math.copysign(max_step, step)
         if fun(x + step) <= f_0:
             x = x + step
     return x
@@ -445,30 +448,27 @@ def _prony_rates(values: np.ndarray, h: float) -> list[float]:
 
 
 def _refine_tau(objective, tau0: float) -> float:
-    # fine prescan first: brackets need not be unimodal, and the true
-    # minimum can be a very narrow notch in a smooth background
-    width = 0.02 * max(1.0, abs(tau0))
+    # fine prescan first: the true minimum can be a very narrow notch in a
+    # smooth background, and the polish needs a start inside that notch
+    width = _PRESCAN_REL_WIDTH * max(1.0, abs(tau0))
     grid = np.linspace(tau0 - width, tau0 + width, 41)
     scores = [objective(t) for t in grid]
-    best = int(np.argmin(scores))
-    lo = grid[max(0, best - 1)]
-    hi = grid[min(grid.size - 1, best + 1)]
-    result = minimize_scalar(objective, bounds=(float(lo), float(hi)),
-                             method="bounded",
-                             options={"xatol": 1e-14, "maxiter": 200})
-    return _parabolic_polish(objective, float(result.x))
+    return _parabolic_polish(objective, float(grid[int(np.argmin(scores))]))
 
 
-def fit_normal_samples(s, xi, eta, tau_bounds: tuple[float, float] = (0.05, 6.0)) -> NormalFit:
+def fit_normal_samples(s, xi, eta) -> NormalFit:
     """Recover (kappa, tau, c1..c4) from sampled component profiles alone.
 
     The model is linear in everything except tau, which is located by
     variable projection: for a candidate tau the symmetric combinations
     (xi + eta)/2 and (xi - eta)/2 are fitted linearly and tau minimizes the
     joint residual.  That residual is multimodal with a very narrow true
-    basin, so candidates come from two sources before local refinement: a
-    coarse two-sided scan, and linear-prediction (Prony) root estimates that
-    exploit the uniform sample grid.  The best refined candidate wins.
+    basin.  On a uniform grid the candidates are linear-prediction (Prony)
+    root estimates, which land inside that basin; a coarse two-sided scan
+    is the fallback when Prony yields no usable rate (a non-uniform grid,
+    or data without exponential structure).  The best-scoring candidate is
+    refined once.  Recovery on a non-uniform grid is best effort: the scan
+    can miss the narrow basin.
     """
     s = np.asarray(s, dtype=float)
     xi = np.asarray(xi, dtype=float)
@@ -481,35 +481,21 @@ def fit_normal_samples(s, xi, eta, tau_bounds: tuple[float, float] = (0.05, 6.0)
     def objective(t: float) -> float:
         return _split_projection_residual(s, u, v, t)[0]
 
-    lo, hi = tau_bounds
-    candidates = list(np.concatenate([-np.geomspace(lo, hi, 60)[::-1],
-                                      np.geomspace(lo, hi, 60)]))
+    lo, hi = _TAU_SCAN
+    candidates = []
     steps = np.diff(s)
     if np.max(np.abs(steps - steps[0])) <= 1e-9 * max(abs(steps[0]), 1e-30):
         h = float(steps[0])
         # u carries exp(-tau s), v carries exp(+tau s)
-        candidates.extend(-rate for rate in _prony_rates(u, h))
-        candidates.extend(_prony_rates(v, h))
-    candidates = [t for t in candidates if 1e-4 <= abs(t) <= 4.0 * hi]
+        rates = [-rate for rate in _prony_rates(u, h)] + _prony_rates(v, h)
+        candidates = [t for t in rates if 1e-4 <= abs(t) <= 4.0 * hi]
+    if not candidates:
+        scan = np.geomspace(lo, hi, 60)
+        candidates = list(np.concatenate([-scan[::-1], scan]))
 
-    scored = sorted(candidates, key=objective)
-    best_tau, best_score = None, math.inf
-    refined: list[float] = []
-    for tau0 in scored:
-        if len(refined) >= 10:
-            break
-        if any(abs(tau0 - seen) <= 0.01 * max(1.0, abs(seen)) for seen in refined):
-            continue
-        refined.append(tau0)
-        tau_ref = _refine_tau(objective, tau0)
-        score = objective(tau_ref)
-        if score < best_score:
-            best_tau, best_score = tau_ref, score
-        if best_score < 1e-20:
-            break
-    if best_tau is None or abs(best_tau) < 1e-9:
+    tau = _refine_tau(objective, min(candidates, key=objective))
+    if abs(tau) < 1e-9:
         raise ZeroTorsion("recovered torsion is numerically zero")
-    tau = best_tau
 
     _, cu, cv = _split_projection_residual(s, u, v, tau)
     # Constant terms of both halves estimate kappa / (2 tau^2).

@@ -34,6 +34,7 @@ from .fileio import (
 )
 from .frenet import (
     DEFAULT_TOL_ADM,
+    AdmissibilityReport,
     NotAdmissible,
     check_admissible,
     frenet_grid,
@@ -199,6 +200,15 @@ def _output_base(path: Path) -> Path:
     return Path(re.sub(r"\.(json|csv)$", "", str(path)))
 
 
+def _admissibility_payload(report: AdmissibilityReport) -> dict:
+    """The "admissibility" block of the analyze and classify reports."""
+    return {
+        "admissible": report.admissible,
+        "violations": [list(v) for v in report.violations],
+        "segments": [list(seg) for seg in report.segments],
+    }
+
+
 def cmd_analyze(cfg: RunConfig) -> int:
     curve = _load_curve_with_overrides(cfg)
     tol_adm = cfg.tolerances.get("tol_adm", DEFAULT_TOL_ADM)
@@ -217,11 +227,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
                  "samples": int(curve.samples)},
         "exact_path": curve.exact,
         "tolerances": {"tol_adm": tol_adm},
-        "admissibility": {
-            "admissible": report_adm.admissible,
-            "violations": [list(v) for v in report_adm.violations],
-            "segments": [list(seg) for seg in report_adm.segments],
-        },
+        "admissibility": _admissibility_payload(report_adm),
         "rows": rows,
     }
     write_json(base.with_suffix(".json"), payload)
@@ -241,11 +247,7 @@ def cmd_classify(cfg: RunConfig) -> int:
         "command": "classify",
         "input": str(cfg.input),
         "origin": [cfg.origin.x, cfg.origin.y, cfg.origin.z],
-        "admissibility": {
-            "admissible": report_adm.admissible,
-            "violations": [list(v) for v in report_adm.violations],
-            "segments": [list(seg) for seg in report_adm.segments],
-        },
+        "admissibility": _admissibility_payload(report_adm),
     }
     if not report_adm.admissible:
         payload.update({"verdict": None, "parameters": None, "residuals": None,

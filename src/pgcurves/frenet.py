@@ -29,6 +29,8 @@ from .jets import Jet3, jet_sqrt
 from .space import PGVector3, det3
 
 DEFAULT_TOL_ADM = 1e-12
+# largest spread of x - s that curve_from_samples accepts as a constant offset
+_TOL_X = 1e-9
 
 __all__ = [
     "DEFAULT_TOL_ADM", "NotAdmissible", "SampledScalar", "CurveDef",
@@ -116,7 +118,7 @@ def curve_from_exprs(y, z, s_min: float, s_max: float, samples: int = 1001,
                     float(s_min), float(s_max), samples, x_offset)
 
 
-def curve_from_samples(s, y, z, x=None, tol_x: float = 1e-9) -> CurveDef:
+def curve_from_samples(s, y, z, x=None) -> CurveDef:
     """Build a sampled-path curve from arrays of parameter values and components.
 
     If x is given it must equal s plus a constant (graph form with the
@@ -128,7 +130,7 @@ def curve_from_samples(s, y, z, x=None, tol_x: float = 1e-9) -> CurveDef:
         x = np.asarray(x, dtype=float)
         offsets = x - s
         x_offset = float(np.mean(offsets))
-        if np.max(np.abs(offsets - x_offset)) > tol_x:
+        if np.max(np.abs(offsets - x_offset)) > _TOL_X:
             raise ValueError("x must equal the parameter plus a constant; "
                              "reparametrize the curve first")
     return CurveDef(SampledScalar(s, y), SampledScalar(s, z),

@@ -181,11 +181,11 @@ def jet_abs(u: Jet3) -> Jet3:
 def jet_pow(u: Jet3, p: float) -> Jet3:
     """u raised to a constant exponent p.
 
-    Integer exponents are evaluated by repeated jet multiplication, which is
-    valid for any base including zero; fractional exponents need a positive
-    base.
+    Integer exponents are evaluated by repeated squaring, which is valid for
+    any base including zero and takes O(log |p|) jet multiplications;
+    fractional exponents need a positive base.
     """
-    if p == round(p) and abs(p) <= 64:
+    if p == round(p):
         n = int(round(p))
         if n == 0:
             return Jet3(np.ones_like(np.asarray(u.v, dtype=float)) if isinstance(u.v, np.ndarray) else 1.0,

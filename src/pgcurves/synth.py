@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _FRAME_TOL = 1e-12
+_KNOT_SPACING = 4e-3
 
 
 class InvalidProfile(Exception):
@@ -131,15 +132,6 @@ class FrenetTrajectory:
     b_y: np.ndarray
     b_z: np.ndarray
 
-    def state(self, i: int) -> FrenetState:
-        return FrenetState(
-            s=float(self.s[i]),
-            r=PGVector3(*(float(c) for c in self.r[i])),
-            t=PGVector3(1.0, float(self.t_y[i]), float(self.t_z[i])),
-            n=PGVector3(0.0, float(self.n_y[i]), float(self.n_z[i])),
-            b=PGVector3(0.0, float(self.b_y[i]), float(self.b_z[i])),
-        )
-
     def conserved(self) -> dict[str, np.ndarray]:
         """Constants of motion of the exact flow, sampled along the trajectory."""
         return {
@@ -149,23 +141,23 @@ class FrenetTrajectory:
             "det": self.n_y * self.b_z - self.n_z * self.b_y,
         }
 
-    def to_curve(self, s_min: float | None = None, s_max: float | None = None,
-                 knot_spacing: float = 4e-3) -> CurveDef:
+    def to_curve(self, s_min: float | None = None,
+                 s_max: float | None = None) -> CurveDef:
         """Spline-backed curve over [s_min, s_max] (default: the full range).
 
-        Trajectory samples are thinned to roughly knot_spacing before the
+        Trajectory samples are thinned to roughly _KNOT_SPACING before the
         spline fit: third derivatives of an interpolant amplify sample-level
         rounding noise like spacing^-3, so knots at every fine integration
-        step would drown the reconstructed torsion in noise.  The default
-        spacing balances that amplification against truncation error for
-        double precision.
+        step would drown the reconstructed torsion in noise.  The spacing
+        balances that amplification against truncation error for double
+        precision.
         """
         s_min = float(self.s[0]) if s_min is None else float(s_min)
         s_max = float(self.s[-1]) if s_max is None else float(s_max)
         if s_min < self.s[0] - 1e-12 or s_max > self.s[-1] + 1e-12:
             raise ValueError("requested window exceeds the integrated range")
-        h = float(self.s[1] - self.s[0]) if self.s.size > 1 else knot_spacing
-        stride = max(1, int(round(knot_spacing / h)))
+        h = float(self.s[1] - self.s[0]) if self.s.size > 1 else _KNOT_SPACING
+        stride = max(1, int(round(_KNOT_SPACING / h)))
         idx = np.arange(0, self.s.size, stride)
         if idx[-1] != self.s.size - 1:
             idx = np.append(idx, self.s.size - 1)

@@ -8,7 +8,7 @@ The suite is deterministic for a fixed seed.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -371,12 +371,10 @@ def check_jet_finite_difference(tol: float = 1e-6) -> CheckResult:
                        "relative gap between jets and central differences")
 
 
-def run_all(seed: int = 0, overrides: dict[str, float] | None = None,
-            draws_scale: float = 1.0) -> dict:
+def run_all(seed: int = 0, overrides: dict[str, float] | None = None) -> dict:
     """Run the whole suite and return a report dictionary.
 
-    overrides maps check names to replacement tolerances.  draws_scale
-    shrinks the randomized draw counts (for quick smoke runs).
+    overrides maps check names to replacement tolerances.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if overrides:
@@ -385,22 +383,15 @@ def run_all(seed: int = 0, overrides: dict[str, float] | None = None,
             raise ValueError(f"unknown tolerance name(s): {sorted(unknown)}")
         tol.update(overrides)
 
-    def n(base):
-        return max(1, int(round(base * draws_scale)))
-
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = [
         check_frenet_consistency(points=1000, tol=tol["frenet_consistency"]),
-        check_torsion_equivalence(rng, pairs=n(10_000),
-                                  tol=tol["torsion_equivalence"]),
-        check_normal_ode_closed_forms(rng, draws=n(100),
-                                      tol=tol["normal_ode_closed_forms"]),
-        check_normal_fit_roundtrip(rng, draws=n(50),
-                                   tol=tol["normal_fit_roundtrip"]),
+        check_torsion_equivalence(rng, tol=tol["torsion_equivalence"]),
+        check_normal_ode_closed_forms(rng, tol=tol["normal_ode_closed_forms"]),
+        check_normal_fit_roundtrip(rng, tol=tol["normal_fit_roundtrip"]),
     ]
     checks.extend(check_rectifying_suite(
-        rng, draws=n(50),
-        tol_beta=tol["rectifying_beta"], tol_params=tol["rectifying_params"],
+        rng, tol_beta=tol["rectifying_beta"], tol_params=tol["rectifying_params"],
         tol_slope=tol["rectifying_slope"], tol_conservation=tol["conservation"],
         tol_properties=tol["rectifying_properties"]))
     checks.append(check_integrator_order())

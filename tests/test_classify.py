@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pgcurves import classify
 from pgcurves.classify import (
     DegenerateFit,
     NonConstantInvariants,
@@ -18,6 +19,7 @@ from pgcurves.classify import (
 from pgcurves.dsl import Const
 from pgcurves.frenet import NotAdmissible, curve_from_exprs, frame_at, frenet_grid
 from pgcurves.space import ORIGIN, PGVector3
+from pgcurves.verify import run_all
 
 COSH_SINH = curve_from_exprs("cosh(s)", "sinh(s)", 0.0, 2.0)
 PARABOLA = curve_from_exprs("s^2/2", "0", -1.0, 1.0)
@@ -210,6 +212,54 @@ class TestFitNormalSamples:
         fit = fit_normal_samples(s, xi, eta)
         assert fit.tau0 == pytest.approx(tau, abs=1e-8)
         assert fit.kappa0 == pytest.approx(kappa, abs=1e-8)
+
+
+    def test_zero_slope_profile_recovered(self):
+        # c2 = c4 = 0 leaves the Prony recurrence underdetermined; the grid is
+        # the verify draw's for this tau
+        kappa, tau = 2.0, 1.3
+        c = (0.5, 0.0, -0.4, 0.0)
+        s = np.linspace(0.0, 2.5 / tau, 121)
+        xi, eta = self._reference_profile(s, kappa, tau, c)
+        fit = fit_normal_samples(s, xi, eta)
+        got = (fit.kappa0, fit.tau0, fit.c1, fit.c2, fit.c3, fit.c4)
+        assert got == pytest.approx((kappa, tau, *c), abs=1e-8)
+
+    def test_objective_evaluations_per_fit(self, monkeypatch):
+        calls = []
+        original = classify._split_projection_residual
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(classify, "_split_projection_residual", counted)
+        kappa, tau = 3.7, -2.2
+        c = (0.6, -0.9, 0.35, 0.2)
+        s = np.linspace(0.0, 2.5 / abs(tau), 121)
+        xi, eta = self._reference_profile(s, kappa, tau, c)
+        fit = fit_normal_samples(s, xi, eta)
+        assert fit.tau0 == pytest.approx(tau, abs=1e-8)
+        assert len(calls) <= 100
+
+    def test_non_uniform_grid_recovered(self):
+        # no Prony candidates on a non-uniform grid: the fallback scan runs
+        kappa, tau = 1.0, 1.0
+        c = (0.3, -0.2, 0.1, 0.05)
+        s = np.linspace(0.0, 2.0, 151)
+        h = s[1] - s[0]
+        s[1:-1] += 0.3 * h * np.sin(7.0 * s[1:-1])
+        xi, eta = self._reference_profile(s, kappa, tau, c)
+        fit = fit_normal_samples(s, xi, eta)
+        got = (fit.kappa0, fit.tau0, fit.c1, fit.c2, fit.c3, fit.c4)
+        assert got == pytest.approx((kappa, tau, *c), abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verify_suite_passes_at_full_draws(seed):
+    report = run_all(seed)
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert report["passed"], failed
 
 
 class TestFitNormalComponents:

@@ -129,6 +129,14 @@ class TestPow:
     def test_negative_base_integer_exponent(self):
         assert_jet_close(jet_pow(jet_variable(-2.0), 3), (-8.0, 12.0, -12.0, 6.0))
 
+    @pytest.mark.parametrize("p, expected", [
+        (65, (-1.0, 65.0, -4160.0, 262080.0)),
+        (100, (1.0, -100.0, 9900.0, -970200.0)),
+    ])
+    def test_integer_exponent_above_64_at_negative_base(self, p, expected):
+        # s^p at -1: p (-1)^(p-1), p (p-1) (-1)^(p-2), p (p-1) (p-2) (-1)^(p-3)
+        assert_jet_close(jet_pow(jet_variable(-1.0), p), expected)
+
     def test_fractional_power(self):
         jet = jet_pow(jet_variable(4.0), 0.5)
         ref = jet_sqrt(jet_variable(4.0))
