@@ -375,7 +375,10 @@ def _eval_jet(e: Expr, s) -> Jet3:
         lhs = _eval_jet(e.lhs, s)
         if e.op == "^":
             try:
-                return jet_pow(lhs, _const_value(e.rhs))
+                p = _const_value(e.rhs)
+                if not math.isfinite(p):
+                    raise DomainError("non-finite constant exponent")
+                return jet_pow(lhs, p)
             except (DomainError, ZeroDivisionError, OverflowError) as err:
                 raise DomainError(f"{err} in '{to_source(e)}'") from None
         rhs = _eval_jet(e.rhs, s)

@@ -13,7 +13,9 @@ with kappa = sqrt(|y''^2 - z''^2|) and eps = sign(y''^2 - z''^2) satisfies
 det(t, n, b) = 1, and the torsion is tau = (y'' z''' - y''' z'') / kappa^2.
 
 Components y and z come either from DSL expressions (exact derivative path)
-or from quintic splines through sampled points (relaxed tolerances).
+or from quintic splines through sampled points (relaxed tolerances).  The
+spline stack, scipy.interpolate, loads on the first sampled curve; commands
+on exact curves never import it.
 
 A command evaluates its curve once, in frenet_grid; check_admissible and
 the frame decomposition in classify read the FrenetGrid it returns.
@@ -22,7 +24,7 @@ the frame decomposition in classify read the FrenetGrid it returns.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
+import scipy
 
 from .dsl import Expr, as_expr, eval_jet3
 from .jets import Jet3, jet_sqrt
@@ -60,7 +62,7 @@ class SampledScalar:
             raise ValueError("need at least 6 samples for a quintic spline")
         if np.any(np.diff(s) <= 0):
             raise ValueError("sample parameters must be strictly increasing")
-        self._spline = make_interp_spline(s, values, k=5)
+        self._spline = scipy.interpolate.make_interp_spline(s, values, k=5)
         self._derivs = [self._spline.derivative(i) for i in (1, 2, 3)]
         self.s_min = float(s[0])
         self.s_max = float(s[-1])

@@ -166,6 +166,17 @@ class TestEvalJet:
         with pytest.raises(DomainError, match=re.escape(f"'{node}'")):
             eval_jet3(parse_expr(source), 1.0)
 
+    @pytest.mark.parametrize("s", [-1.0, 2.0])
+    @pytest.mark.parametrize("source", [
+        "s^(1e308*10-1e308*10)",    # NaN
+        "s^(1e308*10)",             # +inf
+        "s^(0-1e308*10)",           # -inf
+    ])
+    def test_non_finite_constant_exponent(self, source, s):
+        message = f"non-finite constant exponent in '{to_source(parse_expr(source))}'"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            eval_jet3(parse_expr(source), s)
+
     def test_overflow_is_domain_error(self):
         with pytest.raises(DomainError):
             eval_jet3(parse_expr("exp(s)"), 1e4)
