@@ -258,6 +258,9 @@ class NormalFit:
     xi_residual / eta_residual are the max absolute misfits of the two
     components; ode_r1 / ode_r2 re-substitute the fitted closed forms into
     the governing second-order system as an independent consistency check.
+    The blind fit also records where its tau came from (tau_source "prony"
+    or "scan"), how many taus it scored, and the joint projection residual
+    at the fitted tau; a fit at measured invariants leaves them unset.
     """
 
     kappa0: float
@@ -270,6 +273,9 @@ class NormalFit:
     eta_residual: float
     ode_r1: float
     ode_r2: float
+    tau_source: str | None = None
+    tau_evaluations: int = 0
+    projection_residual: float | None = None
 
 
 def normal_component_exprs(kappa: float, tau: float,
@@ -354,7 +360,7 @@ def fit_normal_components(dec: FrameDecomposition,
     return _build_normal_fit(grid.s, dec.beta, dec.gamma, kappa, tau, coef)
 
 
-def _build_normal_fit(s, xi, eta, kappa, tau, coef) -> NormalFit:
+def _build_normal_fit(s, xi, eta, kappa, tau, coef, **diagnostics) -> NormalFit:
     c1, c2, c3, c4 = (float(v) for v in coef)
     em, ep = _stacked_basis(s, tau)
     xi_fit = (c1 + c2 * s) * em + (c3 + c4 * s) * ep + kappa / tau ** 2
@@ -366,23 +372,57 @@ def _build_normal_fit(s, xi, eta, kappa, tau, coef) -> NormalFit:
     return NormalFit(kappa0=float(kappa), tau0=float(tau),
                      c1=c1, c2=c2, c3=c3, c4=c4,
                      xi_residual=xi_residual, eta_residual=eta_residual,
-                     ode_r1=ode_r1, ode_r2=ode_r2)
+                     ode_r1=ode_r1, ode_r2=ode_r2, **diagnostics)
 
 
-def _split_projection_residual(s, u, v, tau):
-    """Residual of fitting u on {e^-tau s, s e^-tau s, 1} and v on the mirror."""
-    em, ep = _stacked_basis(s, tau)
-    ones = np.ones_like(s)
-    au = np.column_stack([em, s * em, ones])
-    av = np.column_stack([ep, s * ep, ones])
-    cu, ru, *_ = np.linalg.lstsq(au, u, rcond=None)[:3]
-    cv, rv, *_ = np.linalg.lstsq(av, v, rcond=None)[:3]
-    res_u = u - au @ cu
-    res_v = v - av @ cv
-    return float(np.dot(res_u, res_u) + np.dot(res_v, res_v)), cu, cv
+# at tau = 0 the first column is constant, so centering zeroes it and the
+# scores come out NaN; they are reported as +inf, and no tau-0 candidate wins
+@np.errstate(invalid="ignore", divide="ignore")
+def _projection_scores(s, u, v, taus):
+    """Joint variable-projection residuals of the split family at many taus.
+
+    For each tau, u is fitted on {e^-tau s, s e^-tau s, 1} and v on the
+    mirror {e^tau s, s e^tau s, 1}.  The 2K fits are stacked as rows and
+    solved together by a QR of their columns: centering removes the constant
+    column, and Gram-Schmidt with one reorthogonalization handles the other
+    two.  Returns the joint squared residuals (K,) and the u and v
+    coefficients (K, 3) each, constant term last.  The residual is formed
+    explicitly as y - A c.
+    """
+    taus = np.asarray(taus, dtype=float)
+    k, n = taus.size, s.size
+    e = np.exp(np.multiply.outer(np.concatenate([-taus, taus]), s))
+    se = s * e
+    y = np.empty_like(e)
+    y[:k] = u
+    y[k:] = v
+    e_mean, se_mean, y_mean = (a.sum(axis=1) / n for a in (e, se, y))
+    x1 = e - e_mean[:, None]
+    x2 = se - se_mean[:, None]
+    yc = y - y_mean[:, None]
+    r11 = np.sqrt(_row_dot(x1, x1))
+    x1 /= r11[:, None]
+    r12 = _row_dot(x1, x2)
+    x2 -= r12[:, None] * x1
+    extra = _row_dot(x1, x2)
+    x2 -= extra[:, None] * x1
+    r12 += extra
+    c2 = _row_dot(x2, yc) / _row_dot(x2, x2)
+    c1 = (_row_dot(x1, yc) - r12 * c2) / r11
+    c0 = y_mean - c1 * e_mean - c2 * se_mean
+    res = y - c0[:, None] - c1[:, None] * e - c2[:, None] * se
+    rows = _row_dot(res, res)
+    scores = rows[:k] + rows[k:]
+    scores[np.isnan(scores)] = np.inf
+    coef = np.stack([c1, c2, c0], axis=1)
+    return scores, coef[:k], coef[k:]
 
 
-def _parabolic_polish(fun, x0: float) -> float:
+def _row_dot(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _parabolic_polish(score, x0: float) -> float:
     """Refine a smooth scalar minimum by parabola-vertex steps.
 
     The squared projection residual is smooth in tau, so a cascade of
@@ -391,20 +431,22 @@ def _parabolic_polish(fun, x0: float) -> float:
     relative accuracy.  A vertex may lie many spacings away (the residual is
     not quadratic at the coarse levels, and each finer level must be able to
     correct that), so a step is capped only by the prescan window and is
-    taken only when it lowers the residual.
+    taken only when it lowers the residual.  score maps an array of taus to
+    their residuals; each level scores its three points in one call and the
+    trial point in a second.
     """
     x = x0
     max_step = _PRESCAN_REL_WIDTH * max(1.0, abs(x0))
     for rel in _POLISH_REL_DELTAS:
         d = rel * max(1.0, abs(x))
-        f_minus, f_0, f_plus = fun(x - d), fun(x), fun(x + d)
+        f_minus, f_0, f_plus = score(np.array([x - d, x, x + d]))
         denom = f_minus - 2.0 * f_0 + f_plus
         if denom <= 0.0:
             continue
         step = 0.5 * d * (f_minus - f_plus) / denom
         if abs(step) > max_step:
             step = math.copysign(max_step, step)
-        if fun(x + step) <= f_0:
+        if score(np.array([x + step]))[0] <= f_0:
             x = x + step
     return x
 
@@ -447,39 +489,55 @@ def _prony_rates(values: np.ndarray, h: float) -> list[float]:
     return rates
 
 
-def _refine_tau(objective, tau0: float) -> float:
+def _refine_tau(score, tau0: float) -> float:
     # fine prescan first: the true minimum can be a very narrow notch in a
     # smooth background, and the polish needs a start inside that notch
     width = _PRESCAN_REL_WIDTH * max(1.0, abs(tau0))
     grid = np.linspace(tau0 - width, tau0 + width, 41)
-    scores = [objective(t) for t in grid]
-    return _parabolic_polish(objective, float(grid[int(np.argmin(scores))]))
+    return _parabolic_polish(score, float(grid[int(np.argmin(score(grid)))]))
 
 
 def fit_normal_samples(s, xi, eta) -> NormalFit:
     """Recover (kappa, tau, c1..c4) from sampled component profiles alone.
 
-    The model is linear in everything except tau, which is located by
-    variable projection: for a candidate tau the symmetric combinations
-    (xi + eta)/2 and (xi - eta)/2 are fitted linearly and tau minimizes the
-    joint residual.  That residual is multimodal with a very narrow true
-    basin.  On a uniform grid the candidates are linear-prediction (Prony)
-    root estimates, which land inside that basin; a coarse two-sided scan
-    is the fallback when Prony yields no usable rate (a non-uniform grid,
-    or data without exponential structure).  The best-scoring candidate is
-    refined once.  Recovery on a non-uniform grid is best effort: the scan
-    can miss the narrow basin.
+    s, xi and eta must be 1-D, of equal length and finite; otherwise a
+    ValueError names the offending argument.  The model is linear in
+    everything except tau, which is located by variable projection: for a
+    candidate tau the symmetric combinations (xi + eta)/2 and (xi - eta)/2
+    are fitted linearly and tau minimizes the joint residual.  That residual
+    is multimodal with a very narrow true basin.  On a uniform grid the
+    candidates are linear-prediction (Prony) root estimates, which land
+    inside that basin; a coarse two-sided scan is the fallback when Prony
+    yields no usable rate (a non-uniform grid, or data without exponential
+    structure).  The best-scoring candidate is refined once.  Recovery on a
+    non-uniform grid is best effort: the scan can miss the narrow basin.
+
+    Taus are scored in batches by one vectorized kernel: the candidates in
+    one call, the 41-point prescan in one, each of the four polish levels
+    in two (three points, then the trial step) and the final coefficients in
+    one, so a fit makes at most 11 kernel calls.
     """
-    s = np.asarray(s, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
+    s, xi, eta = (np.asarray(a, dtype=float) for a in (s, xi, eta))
+    for name, a in (("s", s), ("xi", xi), ("eta", eta)):
+        if a.ndim != 1:
+            raise ValueError(f"{name} must be 1-D, got shape {a.shape}")
+        if a.size != s.size:
+            raise ValueError(f"{name} has {a.size} samples but s has {s.size}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} contains non-finite values")
     if s.size < 6:
         raise DegenerateFit("need at least 6 samples to recover the family")
     u = 0.5 * (xi + eta)
     v = 0.5 * (xi - eta)
+    evaluations = 0
 
-    def objective(t: float) -> float:
-        return _split_projection_residual(s, u, v, t)[0]
+    def project(taus):
+        nonlocal evaluations
+        evaluations += len(taus)
+        return _projection_scores(s, u, v, taus)
+
+    def score(taus):
+        return project(taus)[0]
 
     lo, hi = _TAU_SCAN
     candidates = []
@@ -489,17 +547,21 @@ def fit_normal_samples(s, xi, eta) -> NormalFit:
         # u carries exp(-tau s), v carries exp(+tau s)
         rates = [-rate for rate in _prony_rates(u, h)] + _prony_rates(v, h)
         candidates = [t for t in rates if 1e-4 <= abs(t) <= 4.0 * hi]
-    if not candidates:
+    if candidates:
+        source, candidates = "prony", np.array(candidates)
+    else:
         scan = np.geomspace(lo, hi, 60)
-        candidates = list(np.concatenate([-scan[::-1], scan]))
+        source, candidates = "scan", np.concatenate([-scan[::-1], scan])
 
-    tau = _refine_tau(objective, min(candidates, key=objective))
+    tau = _refine_tau(score, float(candidates[int(np.argmin(score(candidates)))]))
     if abs(tau) < 1e-9:
         raise ZeroTorsion("recovered torsion is numerically zero")
 
-    _, cu, cv = _split_projection_residual(s, u, v, tau)
+    scores, cu, cv = project(np.array([tau]))
     # Constant terms of both halves estimate kappa / (2 tau^2).
-    kappa = float(tau ** 2 * (cu[2] + cv[2]))
+    kappa = float(tau ** 2 * (cu[0, 2] + cv[0, 2]))
     # Final polish: joint linear fit of all four coefficients at fixed tau.
     coef = _fit_c_given_invariants(s, xi, eta, kappa, tau)
-    return _build_normal_fit(s, xi, eta, kappa, tau, coef)
+    return _build_normal_fit(s, xi, eta, kappa, tau, coef, tau_source=source,
+                             tau_evaluations=evaluations,
+                             projection_residual=float(scores[0]))

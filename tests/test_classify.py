@@ -19,7 +19,7 @@ from pgcurves.classify import (
 from pgcurves.dsl import Const
 from pgcurves.frenet import NotAdmissible, curve_from_exprs, frame_at, frenet_grid
 from pgcurves.space import ORIGIN, PGVector3
-from pgcurves.verify import run_all
+from pgcurves.verify import check_normal_fit_roundtrip, run_all
 
 COSH_SINH = curve_from_exprs("cosh(s)", "sinh(s)", 0.0, 2.0)
 PARABOLA = curve_from_exprs("s^2/2", "0", -1.0, 1.0)
@@ -32,6 +32,23 @@ def _decompose(curve):
 def _position(curve, s):
     x, y, z = curve.position(s)
     return PGVector3(float(x), float(y), float(z))
+
+
+def _split_projection_residual(s, u, v, tau):
+    """Reference scorer: fit u on {e^-tau s, s e^-tau s, 1} and v on the mirror.
+
+    Two independent LAPACK least-squares solves (SVD-based) per tau; the
+    batched kernel classify._projection_scores must agree with it.
+    """
+    em, ep = np.exp(-tau * s), np.exp(tau * s)
+    ones = np.ones_like(s)
+    au = np.column_stack([em, s * em, ones])
+    av = np.column_stack([ep, s * ep, ones])
+    cu = np.linalg.lstsq(au, u, rcond=None)[0]
+    cv = np.linalg.lstsq(av, v, rcond=None)[0]
+    res_u = u - au @ cu
+    res_v = v - av @ cv
+    return float(np.dot(res_u, res_u) + np.dot(res_v, res_v)), cu, cv
 
 
 class TestFrameComponents:
@@ -226,21 +243,28 @@ class TestFitNormalSamples:
         assert got == pytest.approx((kappa, tau, *c), abs=1e-8)
 
     def test_objective_evaluations_per_fit(self, monkeypatch):
-        calls = []
-        original = classify._split_projection_residual
+        batches = []
+        original = classify._projection_scores
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(s, u, v, taus):
+            batches.append(len(taus))
+            return original(s, u, v, taus)
 
-        monkeypatch.setattr(classify, "_split_projection_residual", counted)
+        monkeypatch.setattr(classify, "_projection_scores", counted)
         kappa, tau = 3.7, -2.2
         c = (0.6, -0.9, 0.35, 0.2)
         s = np.linspace(0.0, 2.5 / abs(tau), 121)
         xi, eta = self._reference_profile(s, kappa, tau, c)
         fit = fit_normal_samples(s, xi, eta)
         assert fit.tau0 == pytest.approx(tau, abs=1e-8)
-        assert len(calls) <= 100
+        assert fit.tau_source == "prony"
+        assert fit.tau_evaluations == sum(batches)
+        assert fit.tau_evaluations <= 100
+        assert len(batches) <= 12
+        # the reported residual is the kernel's score at the fitted tau
+        u, v = 0.5 * (xi + eta), 0.5 * (xi - eta)
+        assert fit.projection_residual == original(s, u, v, np.array([fit.tau0]))[0][0]
+        assert fit.projection_residual <= 1e-20
 
     def test_non_uniform_grid_recovered(self):
         # no Prony candidates on a non-uniform grid: the fallback scan runs
@@ -253,6 +277,99 @@ class TestFitNormalSamples:
         fit = fit_normal_samples(s, xi, eta)
         got = (fit.kappa0, fit.tau0, fit.c1, fit.c2, fit.c3, fit.c4)
         assert got == pytest.approx((kappa, tau, *c), abs=1e-8)
+        assert fit.tau_source == "scan"
+
+    @pytest.mark.parametrize("case", ["nan_xi", "inf_eta", "short_xi", "long_eta", "2d_s"])
+    def test_bad_input_rejected_before_linear_algebra(self, case, capfd):
+        s = np.linspace(0.0, 2.0, 101)
+        xi, eta = self._reference_profile(s, 1.0, 1.0, (0.3, -0.2, 0.1, 0.05))
+        name = case.split("_")[1]
+        if case == "nan_xi":
+            xi[17] = np.nan
+        elif case == "inf_eta":
+            eta[-1] = np.inf
+        elif case == "short_xi":
+            xi = xi[:-1]
+        elif case == "long_eta":
+            eta = np.append(eta, 0.0)
+        else:
+            s = s.reshape(1, -1)
+        with pytest.raises(ValueError, match=rf"^{name} "):
+            fit_normal_samples(s, xi, eta)
+        # LAPACK reports illegal arguments on the process's stderr
+        assert capfd.readouterr().err == ""
+
+
+class TestProjectionKernel:
+    """classify._projection_scores against the two-lstsq reference scorer."""
+
+    @staticmethod
+    def _profiles(rng, kind, s):
+        if kind == "noise":
+            return rng.normal(size=(2, s.size))
+        tau = rng.uniform(0.1, 5.0) * rng.choice([-1.0, 1.0])
+        kappa = rng.uniform(0.1, 10.0)
+        c1, c2, c3, c4 = rng.uniform(-1.0, 1.0, size=4)
+        return ((c1 + c2 * s) * np.exp(-tau * s) + 0.5 * kappa / tau**2,
+                (c3 + c4 * s) * np.exp(tau * s) + 0.5 * kappa / tau**2)
+
+    @pytest.mark.parametrize("kind", ["noise", "family"])
+    def test_matches_reference_scorer(self, kind):
+        rng = np.random.default_rng(0)
+        eps = np.finfo(float).eps
+        for _ in range(25):
+            s = np.linspace(0.0, rng.uniform(1.0, 3.0), 121)
+            u, v = self._profiles(rng, kind, s)
+            taus = rng.uniform(0.05, 6.0, 41) * rng.choice([-1.0, 1.0], 41)
+            scores, _, _ = classify._projection_scores(s, u, v, taus)
+            y_norm = np.sqrt(u @ u + v @ v)
+            for tau, got in zip(taus, scores):
+                want = _split_projection_residual(s, u, v, tau)[0]
+                # 1e-12 relative plus a 1e-30 floor; the last term is the
+                # rounding floor of forming y - A c, which both scorers share
+                # and which dominates only when the residual is many orders
+                # below |y| (a family profile near its own tau)
+                bound = 1e-12 * want + 1e-30 + 16.0 * eps * np.sqrt(want) * y_norm
+                assert abs(got - want) <= bound, (tau, got, want)
+
+    def test_coefficients_give_the_scored_residual(self):
+        rng = np.random.default_rng(5)
+        s = np.linspace(0.0, 2.0, 121)
+        u, v = self._profiles(rng, "family", s)
+        taus = np.array([-2.5, -0.3, 0.7, 4.1])
+        scores, cu, cv = classify._projection_scores(s, u, v, taus)
+        for tau, score, a, b in zip(taus, scores, cu, cv):
+            em, ep = np.exp(-tau * s), np.exp(tau * s)
+            res_u = u - (a[0] + a[1] * s) * em - a[2]
+            res_v = v - (b[0] + b[1] * s) * ep - b[2]
+            assert res_u @ res_u + res_v @ res_v == pytest.approx(score, rel=1e-12, abs=1e-30)
+            want = _split_projection_residual(s, u, v, tau)[0]
+            assert score <= want * (1.0 + 1e-12) + 1e-30
+
+    def test_batch_of_41_matches_single_tau(self):
+        rng = np.random.default_rng(11)
+        s = np.linspace(0.0, 1.7, 121)
+        for kind in ("noise", "family"):
+            u, v = self._profiles(rng, kind, s)
+            taus = rng.uniform(0.05, 6.0, 41) * rng.choice([-1.0, 1.0], 41)
+            batch = classify._projection_scores(s, u, v, taus)[0]
+            for tau, in_batch in zip(taus, batch):
+                alone = classify._projection_scores(s, u, v, np.array([tau]))[0][0]
+                assert abs(alone - in_batch) <= 1e-12 * in_batch + 1e-30
+
+    def test_zero_tau_never_wins(self):
+        s = np.linspace(0.0, 2.0, 121)
+        u, v = np.exp(-s), np.exp(s)
+        scores = classify._projection_scores(s, u, v, np.array([0.0, 1.0]))[0]
+        assert scores[0] == np.inf and scores[1] <= 1e-20
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_blind_fit_accuracy_over_verify_draws(seed):
+    # 50 draws per seed of the verify family, 200 in all
+    result = check_normal_fit_roundtrip(np.random.default_rng(seed), tol=1e-9)
+    assert result.count == 50
+    assert result.passed, result.worst
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -282,3 +399,9 @@ class TestFitNormalComponents:
     def test_zero_torsion_rejected(self):
         with pytest.raises(ZeroTorsion):
             fit_normal_components(_decompose(PARABOLA))
+
+    def test_no_blind_fit_diagnostics(self):
+        fit = fit_normal_components(_decompose(COSH_SINH))
+        assert fit.tau_source is None
+        assert fit.tau_evaluations == 0
+        assert fit.projection_residual is None

@@ -1,8 +1,10 @@
 """Command-line interface tests: exit codes, file outputs, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,6 +354,14 @@ class TestPlotData:
         assert residual <= 1e-4
 
 
+def _run_fresh_interpreter(probe):
+    """Run probe in a new interpreter that imports the pgcurves under test."""
+    src = str(Path(pgcurves.cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+
 @pytest.mark.parametrize("module", ["pgcurves", "pgcurves.cli"])
 def test_import_loads_no_scipy_subpackage(module):
     # The top-level scipy package (about 8 ms) stays imported, because the
@@ -360,8 +370,7 @@ def test_import_loads_no_scipy_subpackage(module):
     # only when a sampled curve is built.
     probe = (f"import sys, {module}, scipy; "
              "print(sorted(m for m in scipy.submodules if 'scipy.' + m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True, timeout=120)
+    out = _run_fresh_interpreter(probe)
     assert out.stdout.strip() == "[]"
 
 
@@ -371,8 +380,7 @@ def test_cold_sampled_classify_loads_spline_stack(tmp_path, cosh_sinh_csv):
              f"code = pgcurves.cli.main(['classify', '--input', {str(cosh_sinh_csv)!r}, "
              f"'--output', {str(cold)!r}]); "
              "print(code, 'scipy.interpolate' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True, timeout=120)
+    out = _run_fresh_interpreter(probe)
     assert out.stdout.split() == ["0", "True"]
     assert main(["classify", "--input", str(cosh_sinh_csv), "--output", str(warm)]) == 0
     assert cold.read_bytes() == warm.read_bytes()
