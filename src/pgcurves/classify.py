@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from .dsl import BinOp, Call, Const, Expr, Neg, Var
 from .frenet import DEFAULT_TOL_ADM, CurveDef, FrenetGrid, NotAdmissible, frenet_grid
@@ -52,12 +53,13 @@ __all__ = [
 DEFAULT_TOL_EXACT = 1e-6
 DEFAULT_TOL_SAMPLED = 1e-4
 
-# Blind fit: |tau| range of the fallback scan, half-width of the prescan
-# window relative to max(1, |tau|), and the relative spacings of the
-# parabola-vertex cascade.
-_TAU_SCAN = (0.05, 6.0)
-_PRESCAN_REL_WIDTH = 0.02
+# Blind fit: the |tau| window a candidate rate must lie in, the largest
+# polish step relative to max(1, |tau|), the relative spacings of the
+# parabola-vertex cascade, and the tau taken when no candidate is in range.
+_RATE_RANGE = (1e-4, 24.0)
+_POLISH_REL_MAX_STEP = 0.02
 _POLISH_REL_DELTAS = (1e-3, 1e-5, 1e-7, 1e-9)
+_FIXED_TAU = 1.0
 
 
 class SingularFrame(Exception):
@@ -256,11 +258,11 @@ class NormalFit:
     """Fit of normal-plane components to the constant-invariant family.
 
     xi_residual / eta_residual are the max absolute misfits of the two
-    components; ode_r1 / ode_r2 re-substitute the fitted closed forms into
-    the governing second-order system as an independent consistency check.
-    The blind fit also records where its tau came from (tau_source "prony"
-    or "scan"), how many taus it scored, and the joint projection residual
-    at the fitted tau; a fit at measured invariants leaves them unset.
+    components.  The blind fit also records which regression model gave its
+    tau (tau_source "two-rate" or "one-rate", or "fixed" when the data carry
+    no rate, as constant profiles do), how many taus it scored, and the joint
+    projection residual at the fitted tau; a fit at measured invariants
+    leaves them unset.
     """
 
     kappa0: float
@@ -271,8 +273,6 @@ class NormalFit:
     c4: float
     xi_residual: float
     eta_residual: float
-    ode_r1: float
-    ode_r2: float
     tau_source: str | None = None
     tau_evaluations: int = 0
     projection_residual: float | None = None
@@ -367,12 +367,10 @@ def _build_normal_fit(s, xi, eta, kappa, tau, coef, **diagnostics) -> NormalFit:
     eta_fit = (c1 + c2 * s) * em - (c3 + c4 * s) * ep
     xi_residual = float(np.max(np.abs(xi_fit - xi)))
     eta_residual = float(np.max(np.abs(eta_fit - eta)))
-    xi_e, eta_e = normal_component_exprs(kappa, tau, (c1, c2, c3, c4))
-    ode_r1, ode_r2 = normal_ode_residuals(xi_e, eta_e, kappa, tau, s)
     return NormalFit(kappa0=float(kappa), tau0=float(tau),
                      c1=c1, c2=c2, c3=c3, c4=c4,
                      xi_residual=xi_residual, eta_residual=eta_residual,
-                     ode_r1=ode_r1, ode_r2=ode_r2, **diagnostics)
+                     **diagnostics)
 
 
 # at tau = 0 the first column is constant, so centering zeroes it and the
@@ -430,13 +428,13 @@ def _parabolic_polish(score, x0: float) -> float:
     precision; a generic bracketing minimizer stalls near sqrt(machine eps)
     relative accuracy.  A vertex may lie many spacings away (the residual is
     not quadratic at the coarse levels, and each finer level must be able to
-    correct that), so a step is capped only by the prescan window and is
+    correct that), so a step is capped only at 2% of max(1, |tau|) and is
     taken only when it lowers the residual.  score maps an array of taus to
     their residuals; each level scores its three points in one call and the
     trial point in a second.
     """
     x = x0
-    max_step = _PRESCAN_REL_WIDTH * max(1.0, abs(x0))
+    max_step = _POLISH_REL_MAX_STEP * max(1.0, abs(x0))
     for rel in _POLISH_REL_DELTAS:
         d = rel * max(1.0, abs(x))
         f_minus, f_0, f_plus = score(np.array([x - d, x, x + d]))
@@ -451,71 +449,71 @@ def _parabolic_polish(score, x0: float) -> float:
     return x
 
 
-def _prony_rates(values: np.ndarray, h: float) -> list[float]:
-    """Exponential rates of a sequence (a + b k) rho^k + const on a uniform grid.
+def _lstsq_scaled(a, y):
+    """Least squares on unit-norm columns; an all-zero column gets coefficient 0."""
+    norms = np.linalg.norm(a, axis=0)
+    norms[norms == 0.0] = 1.0
+    coef, *_ = np.linalg.lstsq(a / norms, y, rcond=None)
+    return coef / norms
 
-    Such a sequence satisfies a cubic linear recurrence whose characteristic
-    roots are {rho, rho, 1}; the recurrence coefficients are fitted by least
-    squares and every admissible root is returned as a rate log(rho) / h.
-    Shifted copies of a smooth sequence are nearly collinear when the grid is
-    dense, so the fit also runs on strided subsequences, which decorrelates
-    the columns; all root candidates go forward to projection refinement.
-    When the linear slope vanishes the recurrence is underdetermined, but any
-    annihilating cubic still contains the true root among its root set.
+
+def _regression_rates(s, u, v) -> list[tuple[float, str]]:
+    """Candidate taus of the split family by integral-equation regression.
+
+    u = (a + b s) e^(-tau s) + c solves (D + tau)^2 D u = 0.  Integrated three
+    times it reads u = -2 tau I1(u) - tau^2 I2(u) + a0 + a1 x + a2 x^2, with
+    x = s - s[0] and I1, I2 the first and second cumulative integrals; v is
+    the mirror with +tau.  That is linear in (p, q) = (2 tau, tau^2) on any
+    grid, so one joint least-squares fit of u and v gives the candidates p/2
+    and sign(p) sqrt(q).  Without a linear factor (c2 = c4 = 0) that fit is
+    rank deficient, so the one-rate form u = -tau I1(u) + a0 + a1 x gives a
+    third candidate (Jacquelin, Regressions et equations integrales, 2009).
+
+    u and v are centred first: a constant adds only a polynomial, and
+    centring removes the cancellation between I1 and the x column.  I1 and I2
+    are antiderivatives of the quintic interpolant SampledScalar also uses;
+    trapezoid sums leave an O(h^2) bias in the rates.  Integration constants
+    only add to the polynomial columns.  Returns (tau, model) pairs.
     """
-    rates = []
-    stride = 1
-    while values.size // stride >= 12:
-        sub = values[::stride]
-        # differencing removes the constant exactly and keeps the
-        # (linear) x (exponential) structure, leaving roots {rho, rho}
-        diff = np.diff(sub)
-        a = np.column_stack([diff[1:-1], diff[0:-2]])
-        rhs = diff[2:]
-        coef, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-        # For the exact structure x^2 - a x - b = (x - rho)^2, so rho = a/2
-        # and rho = sqrt(-b); rounding splits the double root into a complex
-        # pair, so these closed forms are more robust than the root finder.
-        rhos = [0.5 * float(coef[0])]
-        if coef[1] < 0.0:
-            rhos.append(math.sqrt(-float(coef[1])))
-        for root in np.roots([1.0, -coef[0], -coef[1]]):
-            if abs(root.imag) <= 1e-3 * max(1.0, abs(root.real)):
-                rhos.append(float(root.real))
-        for rho in rhos:
-            if rho > 1e-12 and abs(rho - 1.0) > 1e-14:
-                rates.append(math.log(rho) / (h * stride))
-        stride *= 3
-    return rates
-
-
-def _refine_tau(score, tau0: float) -> float:
-    # fine prescan first: the true minimum can be a very narrow notch in a
-    # smooth background, and the polish needs a start inside that notch
-    width = _PRESCAN_REL_WIDTH * max(1.0, abs(tau0))
-    grid = np.linspace(tau0 - width, tau0 + width, 41)
-    return _parabolic_polish(score, float(grid[int(np.argmin(score(grid)))]))
+    n = s.size
+    x = s - s[0]
+    y = np.column_stack([u - u.mean(), v - v.mean()])
+    spline = scipy.interpolate.make_interp_spline(s, y, k=5)
+    i1, i2 = (spline.antiderivative(order)(s) for order in (1, 2))
+    # columns: the shared I1 and I2 terms, then the u and v polynomials
+    a = np.zeros((2 * n, 8))
+    a[:n, 0], a[n:, 0] = i1[:, 0], -i1[:, 1]
+    a[:n, 1], a[n:, 1] = i2[:, 0], i2[:, 1]
+    a[:n, 2:5] = a[n:, 5:8] = np.column_stack([np.ones(n), x, x * x])
+    rhs = y.T.ravel()
+    p, q = (-float(c) for c in _lstsq_scaled(a, rhs)[:2])
+    rates = [(0.5 * p, "two-rate")]
+    if q > 0.0:
+        rates.append((math.copysign(math.sqrt(q), p), "two-rate"))
+    one_rate = _lstsq_scaled(a[:, [0, 2, 3, 5, 6]], rhs)[0]
+    return rates + [(-float(one_rate), "one-rate")]
 
 
 def fit_normal_samples(s, xi, eta) -> NormalFit:
     """Recover (kappa, tau, c1..c4) from sampled component profiles alone.
 
     s, xi and eta must be 1-D, of equal length and finite; otherwise a
-    ValueError names the offending argument.  The model is linear in
-    everything except tau, which is located by variable projection: for a
-    candidate tau the symmetric combinations (xi + eta)/2 and (xi - eta)/2
-    are fitted linearly and tau minimizes the joint residual.  That residual
-    is multimodal with a very narrow true basin.  On a uniform grid the
-    candidates are linear-prediction (Prony) root estimates, which land
-    inside that basin; a coarse two-sided scan is the fallback when Prony
-    yields no usable rate (a non-uniform grid, or data without exponential
-    structure).  The best-scoring candidate is refined once.  Recovery on a
-    non-uniform grid is best effort: the scan can miss the narrow basin.
+    ValueError names the offending argument.  s must also be strictly
+    increasing.  The model is linear in everything except tau, which is
+    located by variable projection: for a candidate tau the symmetric
+    combinations (xi + eta)/2 and (xi - eta)/2 are fitted linearly and tau
+    minimizes the joint residual.  That residual is multimodal with a very
+    narrow true basin, so the candidates come from an integral-equation
+    regression (_regression_rates) that lands inside it on any grid, uniform
+    or not.  The best-scoring candidate of the two-rate model is polished by
+    parabola-vertex steps; a winning one-rate candidate is kept as it is,
+    because on data without a linear factor the residual is flat to fourth
+    order in tau and a polish would wander inside the rounding floor.
 
-    Taus are scored in batches by one vectorized kernel: the candidates in
-    one call, the 41-point prescan in one, each of the four polish levels
-    in two (three points, then the trial step) and the final coefficients in
-    one, so a fit makes at most 11 kernel calls.
+    Taus are scored in batches by one vectorized kernel: the (at most three)
+    candidates in one call, each of the four polish levels in two (three
+    points, then the trial step) and the final coefficients in one, so a fit
+    makes at most 10 kernel calls and scores at most 20 taus.
     """
     s, xi, eta = (np.asarray(a, dtype=float) for a in (s, xi, eta))
     for name, a in (("s", s), ("xi", xi), ("eta", eta)):
@@ -539,21 +537,16 @@ def fit_normal_samples(s, xi, eta) -> NormalFit:
     def score(taus):
         return project(taus)[0]
 
-    lo, hi = _TAU_SCAN
-    candidates = []
-    steps = np.diff(s)
-    if np.max(np.abs(steps - steps[0])) <= 1e-9 * max(abs(steps[0]), 1e-30):
-        h = float(steps[0])
-        # u carries exp(-tau s), v carries exp(+tau s)
-        rates = [-rate for rate in _prony_rates(u, h)] + _prony_rates(v, h)
-        candidates = [t for t in rates if 1e-4 <= abs(t) <= 4.0 * hi]
+    lo, hi = _RATE_RANGE
+    candidates = [(tau, model) for tau, model in _regression_rates(s, u, v)
+                  if lo <= abs(tau) <= hi]
     if candidates:
-        source, candidates = "prony", np.array(candidates)
+        tau, source = candidates[int(np.argmin(score([t for t, _ in candidates])))]
     else:
-        scan = np.geomspace(lo, hi, 60)
-        source, candidates = "scan", np.concatenate([-scan[::-1], scan])
-
-    tau = _refine_tau(score, float(candidates[int(np.argmin(score(candidates)))]))
+        # constant data: every tau reproduces them, and kappa follows below
+        tau, source = _FIXED_TAU, "fixed"
+    if source == "two-rate":
+        tau = _parabolic_polish(score, tau)
     if abs(tau) < 1e-9:
         raise ZeroTorsion("recovered torsion is numerically zero")
 

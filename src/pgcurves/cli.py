@@ -9,6 +9,7 @@ JSON output.
 import argparse
 import dataclasses
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -71,8 +72,8 @@ class RunConfig:
 
     def __post_init__(self):
         for name, value in self.tolerances.items():
-            if value <= 0.0:
-                raise ValueError(f"tolerance {name} must be positive")
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"tolerance {name} must be finite and positive, got {value}")
         if self.samples is not None and self.samples < 2:
             raise ValueError("samples must be at least 2")
 

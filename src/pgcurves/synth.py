@@ -269,8 +269,6 @@ class NormalComponentSamples:
     s: np.ndarray
     xi: np.ndarray
     eta: np.ndarray
-    xi_expr: Expr
-    eta_expr: Expr
 
 
 def synth_normal_components(kappa: float, tau: float,
@@ -278,11 +276,11 @@ def synth_normal_components(kappa: float, tau: float,
                             grid) -> NormalComponentSamples:
     """Evaluate the constant-invariant component family on a grid.
 
-    The closed forms satisfy the governing component system identically, so
-    feeding the output to normal_ode_residuals lands at the rounding floor.
+    The closed forms satisfy the governing component system identically;
+    normal_ode_residuals on normal_component_exprs lands at the rounding floor.
     """
     xi_e, eta_e = normal_component_exprs(kappa, tau, c)
     s = np.asarray(grid, dtype=float)
     xi = np.asarray(xi_e.jet3(s).v, dtype=float)
     eta = np.asarray(eta_e.jet3(s).v, dtype=float)
-    return NormalComponentSamples(s=s, xi=xi, eta=eta, xi_expr=xi_e, eta_expr=eta_e)
+    return NormalComponentSamples(s=s, xi=xi, eta=eta)

@@ -19,7 +19,7 @@ from pgcurves.classify import (
 from pgcurves.dsl import Const
 from pgcurves.frenet import NotAdmissible, curve_from_exprs, frame_at, frenet_grid
 from pgcurves.space import ORIGIN, PGVector3
-from pgcurves.verify import check_normal_fit_roundtrip, run_all
+from pgcurves.verify import _draw_family, check_normal_fit_roundtrip, run_all
 
 COSH_SINH = curve_from_exprs("cosh(s)", "sinh(s)", 0.0, 2.0)
 PARABOLA = curve_from_exprs("s^2/2", "0", -1.0, 1.0)
@@ -232,8 +232,8 @@ class TestFitNormalSamples:
 
 
     def test_zero_slope_profile_recovered(self):
-        # c2 = c4 = 0 leaves the Prony recurrence underdetermined; the grid is
-        # the verify draw's for this tau
+        # c2 = c4 = 0 leaves the two-rate regression rank deficient, so the
+        # one-rate candidate wins; the grid is the verify draw's for this tau
         kappa, tau = 2.0, 1.3
         c = (0.5, 0.0, -0.4, 0.0)
         s = np.linspace(0.0, 2.5 / tau, 121)
@@ -257,7 +257,7 @@ class TestFitNormalSamples:
         xi, eta = self._reference_profile(s, kappa, tau, c)
         fit = fit_normal_samples(s, xi, eta)
         assert fit.tau0 == pytest.approx(tau, abs=1e-8)
-        assert fit.tau_source == "prony"
+        assert fit.tau_source == "two-rate"
         assert fit.tau_evaluations == sum(batches)
         assert fit.tau_evaluations <= 100
         assert len(batches) <= 12
@@ -267,7 +267,7 @@ class TestFitNormalSamples:
         assert fit.projection_residual <= 1e-20
 
     def test_non_uniform_grid_recovered(self):
-        # no Prony candidates on a non-uniform grid: the fallback scan runs
+        # the regression candidates need no uniform grid
         kappa, tau = 1.0, 1.0
         c = (0.3, -0.2, 0.1, 0.05)
         s = np.linspace(0.0, 2.0, 151)
@@ -277,7 +277,33 @@ class TestFitNormalSamples:
         fit = fit_normal_samples(s, xi, eta)
         got = (fit.kappa0, fit.tau0, fit.c1, fit.c2, fit.c3, fit.c4)
         assert got == pytest.approx((kappa, tau, *c), abs=1e-8)
-        assert fit.tau_source == "scan"
+        assert fit.tau_source == "two-rate"
+
+    @pytest.mark.parametrize("family", ["jittered", "chebyshev", "zero_slope"])
+    def test_recovered_on_any_grid(self, family):
+        # 40 draws of the verify family on the verify grid, except that
+        # "jittered" moves interior nodes by U(-0.3, 0.3) h or 0.3 h sin(7 s),
+        # "chebyshev" clusters them at both ends, and "zero_slope" sets
+        # c2 = c4 = 0 on the uniform grid
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for draw in range(40):
+            kappa, tau, c = _draw_family(rng)
+            length = min(3.0, max(1.0, 2.5 / abs(tau)))
+            s = np.linspace(0.0, length, 121)
+            if family == "jittered":
+                h = s[1]
+                shift = rng.uniform(-0.3, 0.3, 119) if draw % 2 else 0.3 * np.sin(7.0 * s[1:-1])
+                s[1:-1] += shift * h
+            elif family == "chebyshev":
+                s = 0.5 * length * (1.0 - np.cos(np.linspace(0.0, np.pi, 121)))
+            else:
+                c = (c[0], 0.0, c[2], 0.0)
+            xi, eta = self._reference_profile(s, kappa, tau, c)
+            fit = fit_normal_samples(s, xi, eta)
+            got = np.array([fit.kappa0, fit.tau0, fit.c1, fit.c2, fit.c3, fit.c4])
+            worst = max(worst, float(np.max(np.abs(got - (kappa, tau, *c)))))
+        assert worst <= 1e-8, worst
 
     @pytest.mark.parametrize("case", ["nan_xi", "inf_eta", "short_xi", "long_eta", "2d_s"])
     def test_bad_input_rejected_before_linear_algebra(self, case, capfd):
@@ -388,8 +414,6 @@ class TestFitNormalComponents:
         assert fit.kappa0 == pytest.approx(1.0, abs=1e-9)
         assert fit.tau0 == pytest.approx(1.0, abs=1e-9)
         assert max(fit.xi_residual, fit.eta_residual) > 1e-2
-        # whatever was fitted still satisfies the governing system exactly
-        assert fit.ode_r1 <= 1e-8 and fit.ode_r2 <= 1e-8
 
     def test_varying_invariants_rejected(self):
         varying = curve_from_exprs("exp(s)", "s^2/2", 0.5, 1.5)

@@ -354,6 +354,22 @@ class TestPlotData:
         assert residual <= 1e-4
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("analyze", ["--tol-adm", "nan"]),
+    ("analyze", ["--tol-adm", "inf"]),
+    ("classify", ["--tol-classify", "nan"]),
+    ("verify", ["--tol", "rectifying_slope=nan"]),
+], ids=["tol-adm-nan", "tol-adm-inf", "tol-classify-nan", "tol-nan"])
+def test_non_finite_tolerance_exit_1(tmp_path, cosh_sinh_file, capsys, command, flag):
+    out = tmp_path / "out.json"
+    argv = [command, "--output", str(out)] + flag
+    if command != "verify":
+        argv += ["--input", str(cosh_sinh_file)]
+    assert main(argv) == 1
+    assert "must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _run_fresh_interpreter(probe):
     """Run probe in a new interpreter that imports the pgcurves under test."""
     src = str(Path(pgcurves.cli.__file__).resolve().parent.parent)
