@@ -33,8 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
+from . import spline
 from .dsl import BinOp, Call, Const, Expr, Neg, Var
 from .frenet import DEFAULT_TOL_ADM, CurveDef, FrenetGrid, NotAdmissible, frenet_grid
 from .space import ORIGIN, PGVector3
@@ -478,8 +478,7 @@ def _regression_rates(s, u, v) -> list[tuple[float, str]]:
     n = s.size
     x = s - s[0]
     y = np.column_stack([u - u.mean(), v - v.mean()])
-    spline = scipy.interpolate.make_interp_spline(s, y, k=5)
-    i1, i2 = (spline.antiderivative(order)(s) for order in (1, 2))
+    i2, i1 = spline.evaluate(*spline.antiderivatives(*spline.interpolate(s, y), 2), s)
     # columns: the shared I1 and I2 terms, then the u and v polynomials
     a = np.zeros((2 * n, 8))
     a[:n, 0], a[n:, 0] = i1[:, 0], -i1[:, 1]
@@ -497,9 +496,9 @@ def _regression_rates(s, u, v) -> list[tuple[float, str]]:
 def fit_normal_samples(s, xi, eta) -> NormalFit:
     """Recover (kappa, tau, c1..c4) from sampled component profiles alone.
 
-    s, xi and eta must be 1-D, of equal length and finite; otherwise a
-    ValueError names the offending argument.  s must also be strictly
-    increasing.  The model is linear in everything except tau, which is
+    s, xi and eta must be 1-D, of equal length and finite, and s must be
+    strictly increasing; otherwise a ValueError names the offending argument.
+    The model is linear in everything except tau, which is
     located by variable projection: for a candidate tau the symmetric
     combinations (xi + eta)/2 and (xi - eta)/2 are fitted linearly and tau
     minimizes the joint residual.  That residual is multimodal with a very
@@ -523,6 +522,8 @@ def fit_normal_samples(s, xi, eta) -> NormalFit:
             raise ValueError(f"{name} has {a.size} samples but s has {s.size}")
         if not np.isfinite(a).all():
             raise ValueError(f"{name} contains non-finite values")
+    if np.any(np.diff(s) <= 0.0):
+        raise ValueError("s must be strictly increasing")
     if s.size < 6:
         raise DegenerateFit("need at least 6 samples to recover the family")
     u = 0.5 * (xi + eta)

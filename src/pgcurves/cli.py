@@ -8,6 +8,7 @@ JSON output.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -95,6 +96,9 @@ def _parse_tol_overrides(entries) -> dict:
     return overrides
 
 
+# built once per process: parse_args leaves the parser unchanged and gives
+# every call a fresh Namespace, so --tol lists never carry over
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pgcurves",

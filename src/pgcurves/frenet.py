@@ -14,8 +14,9 @@ det(t, n, b) = 1, and the torsion is tau = (y'' z''' - y''' z'') / kappa^2.
 
 Components y and z come either from DSL expressions (exact derivative path)
 or from quintic splines through sampled points (relaxed tolerances).  The
-spline stack, scipy.interpolate, loads on the first sampled curve; commands
-on exact curves never import it.
+splines are pgcurves.spline: numpy code around one LAPACK call, whose module
+scipy.linalg loads on the first sampled curve; commands on exact curves never
+import it.
 
 A command evaluates its curve once, in frenet_grid; check_admissible and
 the frame decomposition in classify read the FrenetGrid it returns.
@@ -24,8 +25,8 @@ the frame decomposition in classify read the FrenetGrid it returns.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
+from . import spline
 from .dsl import Expr, as_expr, eval_jet3
 from .jets import Jet3, jet_sqrt
 from .space import PGVector3, det3
@@ -62,15 +63,14 @@ class SampledScalar:
             raise ValueError("need at least 6 samples for a quintic spline")
         if np.any(np.diff(s) <= 0):
             raise ValueError("sample parameters must be strictly increasing")
-        self._spline = scipy.interpolate.make_interp_spline(s, values, k=5)
-        self._derivs = [self._spline.derivative(i) for i in (1, 2, 3)]
+        self._knots, c = spline.interpolate(s, values)
+        self._coefs = spline.derivatives(self._knots, c, 3)
         self.s_min = float(s[0])
         self.s_max = float(s[-1])
         self.size = int(s.size)
 
     def jet3(self, s) -> Jet3:
-        d1, d2, d3 = self._derivs
-        return Jet3(self._spline(s), d1(s), d2(s), d3(s))
+        return Jet3(*spline.evaluate(self._knots, self._coefs, s))
 
 
 @dataclass(frozen=True)

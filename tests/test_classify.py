@@ -305,7 +305,8 @@ class TestFitNormalSamples:
             worst = max(worst, float(np.max(np.abs(got - (kappa, tau, *c)))))
         assert worst <= 1e-8, worst
 
-    @pytest.mark.parametrize("case", ["nan_xi", "inf_eta", "short_xi", "long_eta", "2d_s"])
+    @pytest.mark.parametrize("case", ["nan_xi", "inf_eta", "short_xi", "long_eta", "2d_s",
+                                      "unsorted_s"])
     def test_bad_input_rejected_before_linear_algebra(self, case, capfd):
         s = np.linspace(0.0, 2.0, 101)
         xi, eta = self._reference_profile(s, 1.0, 1.0, (0.3, -0.2, 0.1, 0.05))
@@ -318,8 +319,10 @@ class TestFitNormalSamples:
             xi = xi[:-1]
         elif case == "long_eta":
             eta = np.append(eta, 0.0)
-        else:
+        elif case == "2d_s":
             s = s.reshape(1, -1)
+        else:
+            s[[40, 41]] = s[[41, 40]]
         with pytest.raises(ValueError, match=rf"^{name} "):
             fit_normal_samples(s, xi, eta)
         # LAPACK reports illegal arguments on the process's stderr

@@ -390,13 +390,15 @@ def test_import_loads_no_scipy_subpackage(module):
     assert out.stdout.strip() == "[]"
 
 
-def test_cold_sampled_classify_loads_spline_stack(tmp_path, cosh_sinh_csv):
+def test_cold_sampled_classify_loads_linalg_not_interpolate(tmp_path, cosh_sinh_csv):
+    # the quintic spline is numpy code around one LAPACK call, dgbsv, so a
+    # sampled curve loads scipy.linalg and never the spline stack
     cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
     probe = ("import sys, pgcurves.cli; "
              f"code = pgcurves.cli.main(['classify', '--input', {str(cosh_sinh_csv)!r}, "
              f"'--output', {str(cold)!r}]); "
-             "print(code, 'scipy.interpolate' in sys.modules)")
+             "print(code, 'scipy.interpolate' in sys.modules, 'scipy.linalg' in sys.modules)")
     out = _run_fresh_interpreter(probe)
-    assert out.stdout.split() == ["0", "True"]
+    assert out.stdout.split() == ["0", "False", "True"]
     assert main(["classify", "--input", str(cosh_sinh_csv), "--output", str(warm)]) == 0
     assert cold.read_bytes() == warm.read_bytes()
