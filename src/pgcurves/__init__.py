@@ -24,7 +24,6 @@ from .frenet import (
     FrenetData,
     FrenetGrid,
     NotAdmissible,
-    SampledScalar,
     check_admissible,
     curve_from_exprs,
     curve_from_samples,

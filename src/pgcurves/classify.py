@@ -299,9 +299,9 @@ def normal_component_exprs(kappa: float, tau: float,
 def normal_ode_residuals(xi, eta, kappa: float, tau: float, grid) -> tuple[float, float]:
     """Max residuals of the normal-component system on the grid.
 
-    xi and eta are jet-evaluable (an Expr or SampledScalar, anything with
-    .jet3).  Returns the max over the grid of
-    |xi'' + 2 tau eta' + tau^2 xi - kappa| and |eta'' + 2 tau xi' + tau^2 eta|.
+    xi and eta are jet-evaluable (an Expr, or anything else with .jet3).
+    Returns the max over the grid of |xi'' + 2 tau eta' + tau^2 xi - kappa|
+    and |eta'' + 2 tau xi' + tau^2 eta|.
     """
     s = np.asarray(grid, dtype=float)
     xj = xi.jet3(s)
@@ -471,7 +471,7 @@ def _regression_rates(s, u, v) -> list[tuple[float, str]]:
 
     u and v are centred first: a constant adds only a polynomial, and
     centring removes the cancellation between I1 and the x column.  I1 and I2
-    are antiderivatives of the quintic interpolant SampledScalar also uses;
+    are antiderivatives of the quintic interpolant sampled curves also use;
     trapezoid sums leave an O(h^2) bias in the rates.  Integration constants
     only add to the polynomial columns.  Returns (tau, model) pairs.
     """

@@ -13,13 +13,14 @@ with kappa = sqrt(|y''^2 - z''^2|) and eps = sign(y''^2 - z''^2) satisfies
 det(t, n, b) = 1, and the torsion is tau = (y'' z''' - y''' z'') / kappa^2.
 
 Components y and z come either from DSL expressions (exact derivative path)
-or from quintic splines through sampled points (relaxed tolerances).  The
-splines are pgcurves.spline: numpy code around one LAPACK call, whose module
-scipy.linalg loads on the first sampled curve; commands on exact curves never
-import it.
+or from one quintic spline through sampled points of both (relaxed
+tolerances).  The spline is pgcurves.spline: numpy code around one LAPACK
+call, whose module scipy.linalg loads on the first sampled curve; commands on
+exact curves never import it.
 
-A command evaluates its curve once, in frenet_grid; check_admissible and
-the frame decomposition in classify read the FrenetGrid it returns.
+CurveDef.jets serves both paths.  A command evaluates its curve once, in
+frenet_grid; check_admissible and the frame decomposition in classify read
+the FrenetGrid it returns.
 """
 
 from dataclasses import dataclass, field
@@ -29,14 +30,16 @@ import numpy as np
 from . import spline
 from .dsl import Expr, as_expr, eval_jet3
 from .jets import Jet3, jet_sqrt
-from .space import PGVector3, det3
+from .space import PGVector3
 
 DEFAULT_TOL_ADM = 1e-12
 # largest spread of x - s that curve_from_samples accepts as a constant offset
 _TOL_X = 1e-9
+# how far the window of a sampled curve may reach past its samples
+_TOL_RANGE = 1e-12
 
 __all__ = [
-    "DEFAULT_TOL_ADM", "NotAdmissible", "SampledScalar", "CurveDef",
+    "DEFAULT_TOL_ADM", "NotAdmissible", "SampledComponents", "CurveDef",
     "curve_from_exprs", "curve_from_samples", "FrenetData", "FrenetGrid",
     "AdmissibilityReport", "check_admissible", "frenet_grid", "frame_at",
     "torsion_det", "frenet_residuals", "reparametrize_graph",
@@ -47,69 +50,82 @@ class NotAdmissible(Exception):
     """The curve violates an admissibility requirement at some parameter."""
 
 
-class SampledScalar:
-    """A scalar component y(s) reconstructed from samples by a quintic spline.
+class SampledComponents:
+    """y(s) and z(s) reconstructed from samples by one quintic spline fit.
 
     Derivatives up to third order come from the spline, so tolerances on any
     quantity built from them are relaxed relative to the exact DSL path.
     """
 
-    def __init__(self, s: np.ndarray, values: np.ndarray):
-        s = np.asarray(s, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if s.ndim != 1 or s.shape != values.shape:
+    def __init__(self, s: np.ndarray, y: np.ndarray, z: np.ndarray):
+        s, y, z = (np.asarray(a, dtype=float) for a in (s, y, z))
+        if s.ndim != 1 or s.shape != y.shape or s.shape != z.shape:
             raise ValueError("samples must be matching 1-d arrays")
         if s.size < 6:
             raise ValueError("need at least 6 samples for a quintic spline")
         if np.any(np.diff(s) <= 0):
             raise ValueError("sample parameters must be strictly increasing")
-        self._knots, c = spline.interpolate(s, values)
+        self._knots, c = spline.interpolate(s, np.column_stack([y, z]))
         self._coefs = spline.derivatives(self._knots, c, 3)
-        self.s_min = float(s[0])
-        self.s_max = float(s[-1])
-        self.size = int(s.size)
+        self.s_range = (float(s[0]), float(s[-1]))
 
-    def jet3(self, s) -> Jet3:
-        return Jet3(*spline.evaluate(self._knots, self._coefs, s))
+    def jets(self, s) -> tuple[Jet3, Jet3]:
+        y, z = np.moveaxis(spline.evaluate(self._knots, self._coefs, s), -1, 0)
+        return Jet3(*y), Jet3(*z)
 
 
 @dataclass(frozen=True)
 class CurveDef:
     """A curve in graph form over [s_min, s_max].
 
-    y and z are either Expr (exact path) or SampledScalar (spline path);
-    both expose jet3(s).  samples is the default grid resolution used by
-    analysis and classification.  x_offset shifts the non-isotropic
-    coordinate: the position is (s + x_offset, y(s), z(s)).
+    On the exact path y and z are Expr.  On the sampled path they are None,
+    sampled holds one spline through the samples of both, and [s_min, s_max]
+    must lie within the samples' range.  jets(s) serves both paths.  samples
+    is the default grid resolution used by analysis and classification.
+    x_offset shifts the non-isotropic coordinate: the position is
+    (s + x_offset, y(s), z(s)).
     """
 
-    y: object
-    z: object
+    y: Expr | None
+    z: Expr | None
     s_min: float
     s_max: float
     samples: int = 1001
     x_offset: float = 0.0
+    sampled: SampledComponents | None = None
 
     def __post_init__(self):
         if not self.s_min < self.s_max:
             raise ValueError("require s_min < s_max")
         if self.samples < 2:
             raise ValueError("require samples >= 2")
+        if self.sampled is not None:
+            lo, hi = self.sampled.s_range
+            if self.s_min < lo - _TOL_RANGE or self.s_max > hi + _TOL_RANGE:
+                raise ValueError(f"window [{float(self.s_min)}, {float(self.s_max)}] "
+                                 f"leaves the sample range [{lo}, {hi}]")
 
     @property
     def exact(self) -> bool:
-        return isinstance(self.y, Expr)
+        return self.sampled is None
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.s_min, self.s_max, self.samples)
 
+    def jets(self, s) -> tuple[Jet3, Jet3]:
+        """Jets of y and z at s (scalar or array), every slot of s's shape."""
+        if self.sampled is not None:
+            return self.sampled.jets(s)
+        shape = np.shape(s)
+        return tuple(Jet3(*(_broadcast(c, shape) for c in (j.v, j.d1, j.d2, j.d3)))
+                     for j in (self.y.jet3(s), self.z.jet3(s)))
+
     def position(self, s):
         """Coordinates (x, y, z) at parameter values s (scalar or array)."""
-        yj = self.y.jet3(s)
-        zj = self.z.jet3(s)
+        yj, zj = self.jets(s)
         x = s + self.x_offset
         if isinstance(s, np.ndarray):
-            return (x, _broadcast(yj.v, s.shape), _broadcast(zj.v, s.shape))
+            return x, yj.v, zj.v
         return x, float(yj.v), float(zj.v)
 
 
@@ -135,8 +151,8 @@ def curve_from_samples(s, y, z, x=None) -> CurveDef:
         if np.max(np.abs(offsets - x_offset)) > _TOL_X:
             raise ValueError("x must equal the parameter plus a constant; "
                              "reparametrize the curve first")
-    return CurveDef(SampledScalar(s, y), SampledScalar(s, z),
-                    float(s[0]), float(s[-1]), int(s.size), x_offset)
+    return CurveDef(None, None, float(s[0]), float(s[-1]), int(s.size), x_offset,
+                    SampledComponents(s, y, z))
 
 
 @dataclass(frozen=True)
@@ -214,15 +230,6 @@ def _broadcast(value, shape):
     return arr
 
 
-def _component_jets(curve: CurveDef, s: np.ndarray) -> tuple[Jet3, Jet3]:
-    yj = curve.y.jet3(s)
-    zj = curve.z.jet3(s)
-    shape = s.shape
-    yj = Jet3(*(_broadcast(c, shape) for c in (yj.v, yj.d1, yj.d2, yj.d3)))
-    zj = Jet3(*(_broadcast(c, shape) for c in (zj.v, zj.d1, zj.d2, zj.d3)))
-    return yj, zj
-
-
 def _discriminant(yj: Jet3, zj: Jet3) -> np.ndarray:
     """y''^2 - z''^2, whose sign is eps and whose root magnitude is kappa."""
     return yj.d2 ** 2 - zj.d2 ** 2
@@ -238,7 +245,7 @@ def frenet_grid(curve: CurveDef, s=None, tol_adm: float = DEFAULT_TOL_ADM,
     if s is None:
         s = curve.grid()
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    yj, zj = _component_jets(curve, s)
+    yj, zj = curve.jets(s)
 
     d = _discriminant(yj, zj)
     ok = np.abs(d) >= tol_adm
@@ -307,27 +314,17 @@ def torsion_det(curve: CurveDef, s, tol_adm: float = DEFAULT_TOL_ADM):
 
     Algebraically identical to the torsion of frame_at but evaluated through
     the determinant, so the two serve as independent implementations of the
-    same invariant.  Accepts a scalar (uses the exact 3x3 kernel determinant)
-    or an array of parameter values.
+    same invariant.  Accepts a scalar or an array of parameter values.
     """
-    scalar = np.ndim(s) == 0
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    yj, zj = _component_jets(curve, s_arr)
+    yj, zj = curve.jets(np.atleast_1d(np.asarray(s, dtype=float)))
     d = _discriminant(yj, zj)
     if np.any(np.abs(d) < tol_adm):
         raise NotAdmissible("curve not admissible at requested point(s)")
     kappa = np.sqrt(np.abs(d))
-    if scalar:
-        det = det3(
-            PGVector3(1.0, float(yj.d1[0]), float(zj.d1[0])),
-            PGVector3(0.0, float(yj.d2[0]), float(zj.d2[0])),
-            PGVector3(0.0, float(yj.d3[0]), float(zj.d3[0])),
-        )
-        return det / float(kappa[0] * kappa[0])
     # Cofactor expansion of det(r', r'', r''') along the first column;
     # x components of r'' and r''' vanish identically in graph form.
-    det = yj.d2 * zj.d3 - zj.d2 * yj.d3
-    return det / (kappa * kappa)
+    tau = (yj.d2 * zj.d3 - zj.d2 * yj.d3) / (kappa * kappa)
+    return float(tau[0]) if np.ndim(s) == 0 else tau
 
 
 def frenet_residuals(curve: CurveDef, s, tol_adm: float = DEFAULT_TOL_ADM):

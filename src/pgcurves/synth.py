@@ -29,7 +29,7 @@ motion of the exact flow.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -145,6 +145,8 @@ class FrenetTrajectory:
                  s_max: float | None = None) -> CurveDef:
         """Spline-backed curve over [s_min, s_max] (default: the full range).
 
+        A window that leaves the integrated range raises ValueError.
+
         Trajectory samples are thinned to roughly _KNOT_SPACING before the
         spline fit: third derivatives of an interpolant amplify sample-level
         rounding noise like spacing^-3, so knots at every fine integration
@@ -154,8 +156,6 @@ class FrenetTrajectory:
         """
         s_min = float(self.s[0]) if s_min is None else float(s_min)
         s_max = float(self.s[-1]) if s_max is None else float(s_max)
-        if s_min < self.s[0] - 1e-12 or s_max > self.s[-1] + 1e-12:
-            raise ValueError("requested window exceeds the integrated range")
         h = float(self.s[1] - self.s[0]) if self.s.size > 1 else _KNOT_SPACING
         stride = max(1, int(round(_KNOT_SPACING / h)))
         idx = np.arange(0, self.s.size, stride)
@@ -166,8 +166,7 @@ class FrenetTrajectory:
         curve = curve_from_samples(self.s[idx], self.r[idx, 1], self.r[idx, 2],
                                    x=self.r[idx, 0])
         inside = int(np.count_nonzero((self.s[idx] >= s_min) & (self.s[idx] <= s_max)))
-        return CurveDef(curve.y, curve.z, s_min, s_max,
-                        samples=max(8, inside), x_offset=curve.x_offset)
+        return replace(curve, s_min=s_min, s_max=s_max, samples=max(8, inside))
 
 
 def _antiderivative(f: np.ndarray, h: float) -> np.ndarray:

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import pgcurves.cli
+from pgcurves import spline
 from pgcurves.cli import main
-from pgcurves.dsl import Expr
-from pgcurves.frenet import SampledScalar
+from pgcurves.frenet import CurveDef
 
 
 @pytest.fixture
@@ -205,46 +205,72 @@ class TestClassify:
 
 
 class TestOneEvaluationPerCommand:
-    """Each command evaluates the loaded curve's component jets exactly once."""
+    """Each command evaluates the loaded curve's jets exactly once, and a
+    sampled curve fits one spline for both components."""
 
     @pytest.fixture
-    def jet_calls(self, monkeypatch):
-        calls, loaded = {}, []
-        load = pgcurves.cli.load_curve
+    def counts(self, monkeypatch):
+        jet_calls, fits, loaded = {}, [], []
+        load, jets, interpolate = pgcurves.cli.load_curve, CurveDef.jets, spline.interpolate
 
         def load_and_note(path):
             curve = load(path)
             loaded.append(curve)
             return curve
 
-        def counting(jet3):
-            def wrapper(component, s):
-                calls[id(component)] = calls.get(id(component), 0) + 1
-                return jet3(component, s)
-            return wrapper
+        def counting_jets(curve, s):
+            jet_calls[id(curve)] = jet_calls.get(id(curve), 0) + 1
+            return jets(curve, s)
+
+        def counting_interpolate(x, y):
+            fits.append(np.shape(y))
+            return interpolate(x, y)
 
         monkeypatch.setattr(pgcurves.cli, "load_curve", load_and_note)
-        monkeypatch.setattr(Expr, "jet3", counting(Expr.jet3))
-        monkeypatch.setattr(SampledScalar, "jet3", counting(SampledScalar.jet3))
+        monkeypatch.setattr(CurveDef, "jets", counting_jets)
+        monkeypatch.setattr(spline, "interpolate", counting_interpolate)
 
-        def per_component():
+        def read():
             (curve,) = loaded
-            return [calls.get(id(curve.y), 0), calls.get(id(curve.z), 0)]
+            return jet_calls.get(id(curve), 0), fits
 
-        return per_component
+        return read
 
     @pytest.mark.parametrize("command, source", [
         ("analyze", "cosh_sinh_file"),
         ("classify", "cosh_sinh_file"),
         ("classify", "cosh_sinh_csv"),
         ("plot-data", "cosh_sinh_file"),
+        ("plot-data", "cosh_sinh_csv"),
     ])
-    def test_jets_evaluated_once(self, request, tmp_path, jet_calls, command, source):
+    def test_jets_evaluated_once(self, request, tmp_path, counts, command, source):
         path = request.getfixturevalue(source)
         code = main([command, "--input", str(path),
                      "--output", str(tmp_path / "out")])
         assert code == 0
-        assert jet_calls() == [1, 1]
+        jet_calls, fits = counts()
+        assert jet_calls == 1
+        assert fits == ([(201, 2)] if source == "cosh_sinh_csv" else [])
+
+
+class TestSampledWindow:
+    """A sampled curve's window may not leave the range of its samples.
+
+    Of the commands that read a curve only analyze takes --s-min/--s-max.
+    """
+
+    @pytest.mark.parametrize("flag, value, window", [
+        ("--s-max", "2.3", "[0.0, 2.3]"),
+        ("--s-min", "-0.1", "[-0.1, 2.0]"),
+    ])
+    def test_window_past_samples_exit_1(self, tmp_path, capsys, cosh_sinh_csv,
+                                        flag, value, window):
+        code = main(["analyze", "--input", str(cosh_sinh_csv), flag, value,
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert (f"input error: window {window} leaves the sample range [0.0, 2.0]"
+                in capsys.readouterr().err)
+        assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
 
 
 class TestSynthesize:

@@ -57,6 +57,28 @@ class TestCurveDef:
         x, y, z = c.position(0.5)
         assert (x, y, z) == (3.5, 0.125, 0.0)
 
+    def test_jets_on_both_paths(self):
+        s = np.linspace(0.0, 2.0, 201)
+        sampled = curve_from_samples(s, np.cosh(s), np.sinh(s))
+        # y and z stay readable attributes; a sampled curve keeps no Expr
+        assert sampled.y is None and sampled.z is None and not sampled.exact
+        assert PARABOLA.z is not None and PARABOLA.exact
+        at = np.array([[0.5, 1.0, 1.5]])
+        for curve in (COSH_SINH, sampled):
+            yj, zj = curve.jets(at)
+            assert np.allclose(yj.d3, np.sinh(at), atol=1e-8)
+            assert np.allclose(zj.d2, np.sinh(at), atol=1e-8)
+        yj, zj = PARABOLA.jets(at)
+        assert zj.d3.shape == yj.v.shape == at.shape
+
+    def test_sampled_window_within_samples(self):
+        s = np.linspace(0.0, 2.0, 21)
+        sampled = curve_from_samples(s, np.cosh(s), np.sinh(s))
+        assert dataclasses.replace(sampled, s_max=2.0 + 5e-13).s_max == 2.0 + 5e-13
+        with pytest.raises(ValueError, match=r"window \[0.0, 2.000000001\] leaves "
+                                             r"the sample range \[0.0, 2.0\]"):
+            dataclasses.replace(sampled, s_max=2.0 + 1e-9)
+
 
 class TestAdmissibility:
     def test_parabola_admissible(self):

@@ -86,6 +86,12 @@ class TestIntegrateFrenet:
         assert np.max(np.abs(grid.kappa - 1.0)) <= 1e-5
         assert np.max(np.abs(grid.tau - 1.0)) <= 1e-5
 
+    @pytest.mark.parametrize("window", [(-0.1, 1.0), (0.0, 2.1)])
+    def test_to_curve_window_outside_range_rejected(self, window):
+        traj = integrate_frenet(profile("1", "1", 0.0, 2.0), step=1e-2)
+        with pytest.raises(ValueError, match="leaves the sample range"):
+            traj.to_curve(*window)
+
     def test_varying_profile_round_trip(self):
         traj = integrate_frenet(profile("1 + s^2/4", "sin(s)", 0.0, 2.0), step=1e-3)
         curve = traj.to_curve(0.05, 1.95)
