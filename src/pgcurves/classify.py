@@ -37,7 +37,7 @@ import numpy as np
 from . import spline
 from .dsl import BinOp, Call, Const, Expr, Neg, Var
 from .frenet import DEFAULT_TOL_ADM, CurveDef, FrenetGrid, NotAdmissible, frenet_grid
-from .space import ORIGIN, PGVector3
+from .space import ORIGIN, PGVector3, plane_det, plane_product
 
 __all__ = [
     "SingularFrame", "DegenerateFit", "NonConstantInvariants", "ZeroTorsion",
@@ -104,11 +104,11 @@ def frame_components_arrays(grid: FrenetGrid, p0: PGVector3) -> FrameDecompositi
     alpha = grid.r[:, 0] - p0.x
     py = grid.r[:, 1] - p0.y - alpha * grid.t_y
     pz = grid.r[:, 2] - p0.z - alpha * grid.t_z
-    det = grid.n_y * grid.b_z - grid.b_y * grid.n_z
+    det = plane_det(grid.n_y, grid.n_z, grid.b_y, grid.b_z)
     if np.any(np.abs(det) < 0.5):
         raise SingularFrame("frame matrix in the isotropic plane is singular")
-    beta = (grid.b_z * py - grid.b_y * pz) / det
-    gamma = (grid.n_y * pz - grid.n_z * py) / det
+    beta = plane_det(py, pz, grid.b_y, grid.b_z) / det
+    gamma = plane_det(grid.n_y, grid.n_z, py, pz) / det
     return FrameDecomposition(grid, alpha, beta, gamma)
 
 
@@ -145,8 +145,8 @@ class RectifyingVerdict:
 def _squared_distance(dec: FrameDecomposition, m1: float, n1: float):
     """<n,n>, <b,b>, q = |r - p0|^2 in the frame and max | |q| - |(s+m1)^2 + <b,b> n1^2| |."""
     g = dec.grid
-    inner_nn = g.n_y ** 2 - g.n_z ** 2
-    inner_bb = g.b_y ** 2 - g.b_z ** 2
+    inner_nn = plane_product(g.n_y, g.n_z, g.n_y, g.n_z)
+    inner_bb = plane_product(g.b_y, g.b_z, g.b_y, g.b_z)
     q = dec.alpha ** 2 + inner_nn * dec.beta ** 2 + inner_bb * dec.gamma ** 2
     model = (g.s + m1) ** 2 + inner_bb * n1 ** 2
     return inner_nn, inner_bb, q, float(np.max(np.abs(np.abs(q) - np.abs(model))))

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 input or I/O error, 2 admissibility violation
 (analysis reports are still written), 3 verification failure.  Reports are
-deterministic: a fixed RunConfig (including the seed) produces byte-identical
-JSON output.
+deterministic: fixed arguments (including the seed) produce byte-identical
+JSON output.  Each flag is declared once, in build_parser, and each
+subcommand's handler reads the parsed Namespace.
 """
 
 import argparse
@@ -13,7 +14,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import verify as verify_mod
@@ -51,34 +51,6 @@ EXIT_ADMISSIBILITY = 2
 EXIT_VERIFICATION = 3
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the subcommand handlers."""
-
-    command: str
-    input: Path | None = None
-    output: Path | None = None
-    origin: PGVector3 = PGVector3(0.0, 0.0, 0.0)
-    tolerances: dict = field(default_factory=dict)
-    s_min: float | None = None
-    s_max: float | None = None
-    samples: int | None = None
-    step: float = 1e-3
-    seed: int = 0
-    m1: float | None = None
-    n1: float | None = None
-    kappa: str | None = None
-    tau: str | None = None
-    frames: bool = False
-
-    def __post_init__(self):
-        for name, value in self.tolerances.items():
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"tolerance {name} must be finite and positive, got {value}")
-        if self.samples is not None and self.samples < 2:
-            raise ValueError("samples must be at least 2")
-
-
 def _parse_origin(text: str) -> PGVector3:
     parts = text.split(",")
     if len(parts) != 3:
@@ -86,14 +58,11 @@ def _parse_origin(text: str) -> PGVector3:
     return PGVector3(*(float(p) for p in parts))
 
 
-def _parse_tol_overrides(entries) -> dict:
-    overrides = {}
-    for entry in entries or ():
-        name, _, value = entry.partition("=")
-        if not value:
-            raise ValueError(f"expected --tol name=value, got {entry!r}")
-        overrides[name] = float(value)
-    return overrides
+def _parse_tol_entry(entry: str) -> tuple[str, float]:
+    name, _, value = entry.partition("=")
+    if not value:
+        raise ValueError(f"expected --tol name=value, got {entry!r}")
+    return name, float(value)
 
 
 # built once per process: parse_args leaves the parser unchanged and gives
@@ -106,6 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "admissible curves in pseudo-Galilean 3-space.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
     def add_common(p, origin=False):
         p.add_argument("--tol-adm", type=float, default=DEFAULT_TOL_ADM,
                        help="admissibility tolerance on y''^2 - z''^2")
@@ -113,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--origin", type=str, default="0,0,0",
                            help="decomposition origin as x,y,z")
 
-    p = sub.add_parser("analyze", help="Frenet apparatus over the curve grid")
+    p = command("analyze", cmd_analyze, "Frenet apparatus over the curve grid")
     p.add_argument("--input", required=True, type=Path)
     p.add_argument("--output", required=True, type=Path,
                    help="output base path; writes <base>.csv and <base>.json")
@@ -122,14 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     add_common(p)
 
-    p = sub.add_parser("classify", help="rectifying / normal-fit verdict")
+    p = command("classify", cmd_classify, "rectifying / normal-fit verdict")
     p.add_argument("--input", required=True, type=Path)
     p.add_argument("--output", required=True, type=Path)
     p.add_argument("--tol-classify", type=float, default=None,
                    help="default: 1e-6 exact path, 1e-4 sampled path")
     add_common(p, origin=True)
 
-    p = sub.add_parser("synthesize", help="integrate a curve from invariants")
+    p = command("synthesize", cmd_synthesize, "integrate a curve from invariants")
     p.add_argument("--output", required=True, type=Path)
     p.add_argument("--kappa", type=str, required=True,
                    help="curvature profile expression in s (must be positive)")
@@ -145,13 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", action="store_true",
                    help="append frame columns to the CSV")
 
-    p = sub.add_parser("verify", help="run the full oracle suite")
+    p = command("verify", cmd_verify, "run the full oracle suite")
     p.add_argument("--output", required=True, type=Path)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                   help="override a named check tolerance (repeatable)")
+                   help="override the tolerance of the named check (repeatable)")
 
-    p = sub.add_parser("plot-data", help="emit two-column series for plotting")
+    p = command("plot-data", cmd_plot_data, "emit two-column series for plotting")
     p.add_argument("--input", required=True, type=Path)
     p.add_argument("--output", required=True, type=Path,
                    help="output directory for the .dat series files")
@@ -161,41 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    tolerances = {}
-    if getattr(args, "tol_adm", None) is not None:
-        tolerances["tol_adm"] = args.tol_adm
-    if getattr(args, "tol_classify", None) is not None:
-        tolerances["tol_classify"] = args.tol_classify
-    tolerances.update(_parse_tol_overrides(getattr(args, "tol", None)))
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        output=getattr(args, "output", None),
-        origin=_parse_origin(getattr(args, "origin", "0,0,0")),
-        tolerances=tolerances,
-        s_min=getattr(args, "s_min", None),
-        s_max=getattr(args, "s_max", None),
-        samples=getattr(args, "samples", None),
-        step=getattr(args, "step", 1e-3),
-        seed=getattr(args, "seed", 0),
-        m1=getattr(args, "m1", None),
-        n1=getattr(args, "n1", None),
-        kappa=getattr(args, "kappa", None),
-        tau=getattr(args, "tau", None),
-        frames=getattr(args, "frames", False),
-    )
-
-
-def _load_curve_with_overrides(cfg: RunConfig):
-    curve = load_curve(cfg.input)
-    changes = {}
-    if cfg.s_min is not None:
-        changes["s_min"] = cfg.s_min
-    if cfg.s_max is not None:
-        changes["s_max"] = cfg.s_max
-    if cfg.samples is not None:
-        changes["samples"] = cfg.samples
+def _load_curve_with_overrides(args: argparse.Namespace):
+    """The --input curve with any --s-min, --s-max and --samples applied."""
+    curve = load_curve(args.input)
+    changes = {name: value for name in ("s_min", "s_max", "samples")
+               if (value := getattr(args, name, None)) is not None}
     if changes:
         curve = dataclasses.replace(curve, **changes)
     return curve
@@ -214,24 +158,23 @@ def _admissibility_payload(report: AdmissibilityReport) -> dict:
     }
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    curve = _load_curve_with_overrides(cfg)
-    tol_adm = cfg.tolerances.get("tol_adm", DEFAULT_TOL_ADM)
-    grid = frenet_grid(curve, tol_adm=tol_adm, strict=False)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    curve = _load_curve_with_overrides(args)
+    grid = frenet_grid(curve, tol_adm=args.tol_adm, strict=False)
     report_adm = check_admissible(grid)
 
-    base = _output_base(cfg.output)
+    base = _output_base(args.output)
     base.parent.mkdir(parents=True, exist_ok=True)
     # The JSON rows reuse the strings formatted for the CSV.
     rows = write_frenet_csv(base.with_suffix(".csv"), grid)
     payload = {
         "schema": 1,
         "command": "analyze",
-        "input": str(cfg.input),
+        "input": str(args.input),
         "grid": {"s_min": curve.s_min, "s_max": curve.s_max,
                  "samples": int(curve.samples)},
         "exact_path": curve.exact,
-        "tolerances": {"tol_adm": tol_adm},
+        "tolerances": {"tol_adm": args.tol_adm},
         "admissibility": _admissibility_payload(report_adm),
         "rows": rows,
     }
@@ -239,29 +182,28 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return EXIT_OK if report_adm.admissible else EXIT_ADMISSIBILITY
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    curve = _load_curve_with_overrides(cfg)
-    tol_adm = cfg.tolerances.get("tol_adm", DEFAULT_TOL_ADM)
-    tol_classify = cfg.tolerances.get("tol_classify")
-    cfg.output.parent.mkdir(parents=True, exist_ok=True)
+def cmd_classify(args: argparse.Namespace) -> int:
+    origin = _parse_origin(args.origin)
+    curve = _load_curve_with_overrides(args)
+    args.output.parent.mkdir(parents=True, exist_ok=True)
 
-    grid = frenet_grid(curve, tol_adm=tol_adm, strict=False)
+    grid = frenet_grid(curve, tol_adm=args.tol_adm, strict=False)
     report_adm = check_admissible(grid)
     payload = {
         "schema": 1,
         "command": "classify",
-        "input": str(cfg.input),
-        "origin": [cfg.origin.x, cfg.origin.y, cfg.origin.z],
+        "input": str(args.input),
+        "origin": [origin.x, origin.y, origin.z],
         "admissibility": _admissibility_payload(report_adm),
     }
     if not report_adm.admissible:
         payload.update({"verdict": None, "parameters": None, "residuals": None,
-                        "tolerances": {"tol_adm": tol_adm}})
-        write_json(cfg.output, payload)
+                        "tolerances": {"tol_adm": args.tol_adm}})
+        write_json(args.output, payload)
         return EXIT_ADMISSIBILITY
 
-    dec = frame_components_arrays(grid, cfg.origin)
-    verdict = classify_rectifying(dec, tol=tol_classify)
+    dec = frame_components_arrays(grid, origin)
+    verdict = classify_rectifying(dec, tol=args.tol_classify)
     normal_fit = None
     normal_fit_error = None
     try:
@@ -300,48 +242,47 @@ def cmd_classify(cfg: RunConfig) -> int:
             "eta_residual": normal_fit.eta_residual if normal_fit else None,
         },
         "normal_fit_error": normal_fit_error,
-        "tolerances": {"tol_adm": tol_adm, "tol_classify": verdict.tol},
+        "tolerances": {"tol_adm": args.tol_adm, "tol_classify": verdict.tol},
     })
-    write_json(cfg.output, payload)
+    write_json(args.output, payload)
     return EXIT_OK
 
 
-def cmd_synthesize(cfg: RunConfig) -> int:
-    rectifying_mode = cfg.m1 is not None or cfg.n1 is not None
+def cmd_synthesize(args: argparse.Namespace) -> int:
+    rectifying_mode = args.m1 is not None or args.n1 is not None
     if rectifying_mode:
-        if cfg.m1 is None or cfg.n1 is None:
+        if args.m1 is None or args.n1 is None:
             raise ValueError("rectifying mode needs both --m1 and --n1")
-        if cfg.n1 == 0.0:
+        if args.n1 == 0.0:
             raise ValueError("--n1 must be nonzero")
-        traj = synth_rectifying(cfg.m1, cfg.n1, cfg.kappa,
-                                (cfg.s_min, cfg.s_max), step=cfg.step)
+        traj = synth_rectifying(args.m1, args.n1, args.kappa,
+                                (args.s_min, args.s_max), step=args.step)
     else:
-        if cfg.tau is None:
+        if args.tau is None:
             raise ValueError("profile mode needs --tau (or use --m1/--n1)")
         traj = integrate_frenet(
-            make_profile(cfg.kappa, cfg.tau, cfg.s_min, cfg.s_max),
-            step=cfg.step)
-    cfg.output.parent.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(cfg.output, traj, frames=cfg.frames)
+            make_profile(args.kappa, args.tau, args.s_min, args.s_max),
+            step=args.step)
+    args.output.parent.mkdir(parents=True, exist_ok=True)
+    write_trajectory_csv(args.output, traj, frames=args.frames)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    overrides = {name: value for name, value in cfg.tolerances.items()
-                 if name not in ("tol_adm", "tol_classify")}
-    report = verify_mod.run_all(seed=cfg.seed, overrides=overrides or None)
-    cfg.output.parent.mkdir(parents=True, exist_ok=True)
-    write_json(cfg.output, report)
+def cmd_verify(args: argparse.Namespace) -> int:
+    overrides = dict(_parse_tol_entry(entry) for entry in args.tol or ())
+    report = verify_mod.run_all(seed=args.seed, overrides=overrides)
+    args.output.parent.mkdir(parents=True, exist_ok=True)
+    write_json(args.output, report)
     return EXIT_OK if report["passed"] else EXIT_VERIFICATION
 
 
-def cmd_plot_data(cfg: RunConfig) -> int:
-    curve = _load_curve_with_overrides(cfg)
-    tol_adm = cfg.tolerances.get("tol_adm", DEFAULT_TOL_ADM)
-    grid = frenet_grid(curve, tol_adm=tol_adm, strict=True)
-    dec = frame_components_arrays(grid, cfg.origin)
+def cmd_plot_data(args: argparse.Namespace) -> int:
+    origin = _parse_origin(args.origin)
+    curve = _load_curve_with_overrides(args)
+    grid = frenet_grid(curve, tol_adm=args.tol_adm, strict=True)
+    dec = frame_components_arrays(grid, origin)
 
-    out_dir = cfg.output
+    out_dir = args.output
     out_dir.mkdir(parents=True, exist_ok=True)
     s_column = FloatColumn(grid.s)
     write_series(out_dir / "kappa.dat", s_column, grid.kappa)
@@ -351,21 +292,16 @@ def cmd_plot_data(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "analyze": cmd_analyze,
-    "classify": cmd_classify,
-    "synthesize": cmd_synthesize,
-    "verify": cmd_verify,
-    "plot-data": cmd_plot_data,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return _HANDLERS[args.command](cfg)
+        for name in ("tol_adm", "tol_classify"):
+            value = getattr(args, name, None)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"tolerance {name} must be finite and positive, got {value}")
+        if getattr(args, "samples", None) is not None and args.samples < 2:
+            raise ValueError("samples must be at least 2")
+        return args.handler(args)
     except (NotAdmissible, InvalidProfile, BadInitialFrame) as err:
         print(f"pgcurves: admissibility error: {err}", file=sys.stderr)
         return EXIT_ADMISSIBILITY

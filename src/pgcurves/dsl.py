@@ -11,7 +11,8 @@ Grammar (EBNF, also documented in the README):
             | "exp" | "log" | "sqrt" | "abs" ;
 
 Each expression has exactly one free variable, the curve parameter (by
-default "s").  Exponents of "^" must be constant subexpressions.  Numbers
+default "s").  Exponents of "^" must be constant subexpressions; the jet
+evaluator computes them like any other subexpression.  Numbers
 are decimal literals of ASCII digits with optional fraction and exponent;
 a literal too large for a float is a LexError.
 """
@@ -333,37 +334,6 @@ def to_source(e: Expr) -> str:
     return _render(e, 0)
 
 
-def _const_value(e: Expr) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Neg):
-        return -_const_value(e.arg)
-    if isinstance(e, BinOp):
-        a, b = _const_value(e.lhs), _const_value(e.rhs)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero in constant exponent")
-            return a / b
-        value = a ** b
-        if isinstance(value, complex):
-            raise DomainError(f"complex value of constant '{to_source(e)}'")
-        return value
-    if isinstance(e, Call):
-        fn = abs if e.func == "abs" else getattr(math, e.func)
-        arg = _const_value(e.arg)
-        try:
-            return fn(arg)
-        except ValueError:
-            raise DomainError(f"'{to_source(e)}' is outside the domain of {e.func}") from None
-    raise DomainError("expected a constant expression")
-
-
 def _eval_jet(e: Expr, s) -> Jet3:
     if isinstance(e, Const):
         return jet_constant(e.value)
@@ -374,11 +344,16 @@ def _eval_jet(e: Expr, s) -> Jet3:
     if isinstance(e, BinOp):
         lhs = _eval_jet(e.lhs, s)
         if e.op == "^":
+            # the exponent's own errors already name the node they come from
+            p = _eval_jet(e.rhs, s)
             try:
-                p = _const_value(e.rhs)
-                if not math.isfinite(p):
+                if np.ndim(p.v):
+                    raise DomainError("exponent is not constant")
+                if not math.isfinite(p.v):
                     raise DomainError("non-finite constant exponent")
-                return jet_pow(lhs, p)
+                if p.d1 or p.d2 or p.d3:
+                    raise DomainError("exponent is not constant")
+                return jet_pow(lhs, float(p.v))
             except (DomainError, ZeroDivisionError, OverflowError) as err:
                 raise DomainError(f"{err} in '{to_source(e)}'") from None
         rhs = _eval_jet(e.rhs, s)

@@ -30,7 +30,7 @@ import numpy as np
 from . import spline
 from .dsl import Expr, as_expr, eval_jet3
 from .jets import Jet3, jet_sqrt
-from .space import PGVector3
+from .space import PGVector3, plane_det, plane_product
 
 DEFAULT_TOL_ADM = 1e-12
 # largest spread of x - s that curve_from_samples accepts as a constant offset
@@ -95,8 +95,8 @@ class CurveDef:
     sampled: SampledComponents | None = None
 
     def __post_init__(self):
-        if not self.s_min < self.s_max:
-            raise ValueError("require s_min < s_max")
+        if not -np.inf < self.s_min < self.s_max < np.inf:
+            raise ValueError("require finite s_min < s_max")
         if self.samples < 2:
             raise ValueError("require samples >= 2")
         if self.sampled is not None:
@@ -230,11 +230,6 @@ def _broadcast(value, shape):
     return arr
 
 
-def _discriminant(yj: Jet3, zj: Jet3) -> np.ndarray:
-    """y''^2 - z''^2, whose sign is eps and whose root magnitude is kappa."""
-    return yj.d2 ** 2 - zj.d2 ** 2
-
-
 def frenet_grid(curve: CurveDef, s=None, tol_adm: float = DEFAULT_TOL_ADM,
                 strict: bool = True) -> FrenetGrid:
     """Evaluate the full Frenet apparatus on a grid of parameter values.
@@ -247,7 +242,8 @@ def frenet_grid(curve: CurveDef, s=None, tol_adm: float = DEFAULT_TOL_ADM,
     s = np.atleast_1d(np.asarray(s, dtype=float))
     yj, zj = curve.jets(s)
 
-    d = _discriminant(yj, zj)
+    # y''^2 - z''^2: its sign is eps and its root magnitude is kappa
+    d = plane_product(yj.d2, zj.d2, yj.d2, zj.d2)
     ok = np.abs(d) >= tol_adm
     if strict and not ok.all():
         bad = s[~ok]
@@ -263,14 +259,14 @@ def frenet_grid(curve: CurveDef, s=None, tol_adm: float = DEFAULT_TOL_ADM,
     zero = np.zeros_like(d_safe)
     y2 = Jet3(yj.d2, yj.d3, zero, zero)
     z2 = Jet3(zj.d2, zj.d3, zero, zero)
-    d_jet = Jet3(d_safe, 2.0 * (yj.d2 * yj.d3 - zj.d2 * zj.d3), zero, zero)
+    d_jet = Jet3(d_safe, 2.0 * plane_product(yj.d2, zj.d2, yj.d3, zj.d3), zero, zero)
     kappa = jet_sqrt(eps * d_jet)
     n_yj = y2 / kappa
     n_zj = z2 / kappa
     b_yj = (eps * z2) / kappa
     b_zj = (eps * y2) / kappa
 
-    tau = (yj.d2 * zj.d3 - yj.d3 * zj.d2) / (eps * d_safe)
+    tau = plane_det(yj.d2, zj.d2, yj.d3, zj.d3) / (eps * d_safe)
 
     res_t = np.hypot(yj.d2 - kappa.v * n_yj.v, zj.d2 - kappa.v * n_zj.v)
     res_n = np.hypot(n_yj.d1 - tau * b_yj.v, n_zj.d1 - tau * b_zj.v)
@@ -317,7 +313,7 @@ def torsion_det(curve: CurveDef, s, tol_adm: float = DEFAULT_TOL_ADM):
     same invariant.  Accepts a scalar or an array of parameter values.
     """
     yj, zj = curve.jets(np.atleast_1d(np.asarray(s, dtype=float)))
-    d = _discriminant(yj, zj)
+    d = plane_product(yj.d2, zj.d2, yj.d2, zj.d2)
     if np.any(np.abs(d) < tol_adm):
         raise NotAdmissible("curve not admissible at requested point(s)")
     kappa = np.sqrt(np.abs(d))

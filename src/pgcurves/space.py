@@ -6,6 +6,8 @@ components alone; vectors confined to the isotropic plane carry a
 Minkowski-type product of signature (+, -) in (y, z).  The product is
 therefore degenerate on the whole space and the causal vocabulary
 (spacelike / timelike / lightlike) only applies inside the isotropic plane.
+plane_product and plane_det are that product and the plane's determinant on
+floats or arrays; eps, kappa, tau and the frame checks all use them.
 """
 
 import math
@@ -61,6 +63,22 @@ class PGVector3:
 ORIGIN = PGVector3(0.0, 0.0, 0.0)
 
 
+def plane_product(ay, az, by, bz):
+    """Signature (+, -) product a_y b_y - a_z b_z of two isotropic-plane vectors.
+
+    Components are floats or numpy arrays of a common shape.
+    """
+    return ay * by - az * bz
+
+
+def plane_det(ay, az, by, bz):
+    """Determinant a_y b_z - a_z b_y of two isotropic-plane vectors.
+
+    Components are floats or numpy arrays of a common shape.
+    """
+    return ay * bz - az * by
+
+
 def pg_inner(u: PGVector3, v: PGVector3) -> float:
     """Degenerate scalar product of pseudo-Galilean space.
 
@@ -74,14 +92,14 @@ def pg_inner(u: PGVector3, v: PGVector3) -> float:
     """
     if u.x != 0.0 or v.x != 0.0:
         return u.x * v.x
-    return u.y * v.y - u.z * v.z
+    return plane_product(u.y, u.z, v.y, v.z)
 
 
 def causal_character(u: PGVector3) -> CausalCharacter:
     """Classify a vector as non-isotropic or by its isotropic causal type."""
     if u.x != 0.0:
         return CausalCharacter.NON_ISOTROPIC
-    w = u.y * u.y - u.z * u.z
+    w = plane_product(u.y, u.z, u.y, u.z)
     if w > 0.0:
         return CausalCharacter.ISOTROPIC_SPACELIKE
     if w < 0.0:

@@ -36,7 +36,7 @@ import numpy as np
 from .classify import normal_component_exprs
 from .dsl import BinOp, Const, Expr, Neg, Var, as_expr
 from .frenet import CurveDef, FrenetGrid, curve_from_samples
-from .space import PGVector3
+from .space import PGVector3, plane_det, plane_product
 
 __all__ = [
     "InvalidProfile", "BadInitialFrame", "InvariantProfile", "FrenetState",
@@ -67,8 +67,8 @@ class InvariantProfile:
     s_max: float
 
     def __post_init__(self):
-        if not self.s_min < self.s_max:
-            raise ValueError("require s_min < s_max")
+        if not -math.inf < self.s_min < self.s_max < math.inf:
+            raise ValueError("require finite s_min < s_max")
 
 
 def profile(kappa, tau, s_min: float, s_max: float) -> InvariantProfile:
@@ -100,10 +100,9 @@ def _validate_state(state: FrenetState):
         raise BadInitialFrame("tangent must have x component exactly 1")
     if state.n.x != 0.0 or state.b.x != 0.0:
         raise BadInitialFrame("n and b must be isotropic (x component 0)")
-    nn = state.n.y ** 2 - state.n.z ** 2
-    bb = state.b.y ** 2 - state.b.z ** 2
-    nb = state.n.y * state.b.y - state.n.z * state.b.z
-    det = state.n.y * state.b.z - state.n.z * state.b.y
+    n, b = (state.n.y, state.n.z), (state.b.y, state.b.z)
+    nn, bb, nb = plane_product(*n, *n), plane_product(*b, *b), plane_product(*n, *b)
+    det = plane_det(*n, *b)
     if abs(abs(nn) - 1.0) > _FRAME_TOL or abs(abs(bb) - 1.0) > _FRAME_TOL:
         raise BadInitialFrame("n and b must be unit vectors of the isotropic product")
     if nn * bb >= 0.0:
@@ -134,12 +133,9 @@ class FrenetTrajectory:
 
     def conserved(self) -> dict[str, np.ndarray]:
         """Constants of motion of the exact flow, sampled along the trajectory."""
-        return {
-            "nn": self.n_y ** 2 - self.n_z ** 2,
-            "bb": self.b_y ** 2 - self.b_z ** 2,
-            "nb": self.n_y * self.b_y - self.n_z * self.b_z,
-            "det": self.n_y * self.b_z - self.n_z * self.b_y,
-        }
+        n, b = (self.n_y, self.n_z), (self.b_y, self.b_z)
+        return {"nn": plane_product(*n, *n), "bb": plane_product(*b, *b),
+                "nb": plane_product(*n, *b), "det": plane_det(*n, *b)}
 
     def to_curve(self, s_min: float | None = None,
                  s_max: float | None = None) -> CurveDef:
@@ -191,12 +187,13 @@ def integrate_frenet(p: InvariantProfile, init: FrenetState | None = None,
 
     The step is a target: the range is divided into a whole number of equal
     steps no longer than requested, so halving the requested step exactly
-    doubles the step count.  Raises InvalidProfile when kappa is not
-    positive on the sample grid, BadInitialFrame for an inconsistent start
-    frame and DomainError when a profile cannot be evaluated on the range.
+    doubles the step count.  Raises ValueError for a step that is not finite
+    and positive, InvalidProfile when kappa is not positive on the sample
+    grid, BadInitialFrame for an inconsistent start frame and DomainError
+    when a profile cannot be evaluated on the range.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise ValueError("step must be finite and positive")
     if init is None:
         init = canonical_state(p.s_min)
     if init.s != p.s_min:

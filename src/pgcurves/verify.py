@@ -22,7 +22,7 @@ from .classify import (
 )
 from .dsl import LexError, ParseError, eval_jet3, parse_expr
 from .frenet import curve_from_exprs, frenet_grid, torsion_det
-from .space import ORIGIN
+from .space import ORIGIN, plane_product
 from .synth import (
     integrate_frenet,
     profile,
@@ -260,7 +260,8 @@ def check_rectifying_suite(rng, draws: int = 50, step: float = 1e-3,
 
         # these curves sit on the timelike-binormal branch: <b, b> = -1
         g = dec.grid
-        worst_bb = max(worst_bb, float(np.max(np.abs(g.b_y**2 - g.b_z**2 + 1.0))))
+        bb = plane_product(g.b_y, g.b_z, g.b_y, g.b_z)
+        worst_bb = max(worst_bb, float(np.max(np.abs(bb + 1.0))))
     return [
         CheckResult("rectifying_beta", all_verdicts and worst_beta <= tol_beta,
                     worst_beta, tol_beta, draws,
@@ -374,13 +375,17 @@ def check_jet_finite_difference(tol: float = 1e-6) -> CheckResult:
 def run_all(seed: int = 0, overrides: dict[str, float] | None = None) -> dict:
     """Run the whole suite and return a report dictionary.
 
-    overrides maps check names to replacement tolerances.
+    overrides maps check names to replacement tolerances, each finite and
+    positive.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if overrides:
         unknown = set(overrides) - set(tol)
         if unknown:
             raise ValueError(f"unknown tolerance name(s): {sorted(unknown)}")
+        for name, value in overrides.items():
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"tolerance {name} must be finite and positive, got {value}")
         tol.update(overrides)
 
     rng = np.random.default_rng(seed)

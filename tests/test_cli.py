@@ -341,6 +341,13 @@ class TestVerify:
                      "--tol", "bogus=1"])
         assert code == 1
 
+    @pytest.mark.parametrize("name", ["tol_adm", "tol_classify"])
+    def test_command_tolerance_is_not_a_check_name(self, tmp_path, capsys, name):
+        out = tmp_path / "v.json"
+        assert main(["verify", "--output", str(out), "--tol", f"{name}=1e-3"]) == 1
+        assert "unknown tolerance name" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_determinism(self, tmp_path):
         for name in ("a.json", "b.json"):
             assert main(["verify", "--output", str(tmp_path / name),
@@ -393,6 +400,30 @@ def test_non_finite_tolerance_exit_1(tmp_path, cosh_sinh_file, capsys, command, 
         argv += ["--input", str(cosh_sinh_file)]
     assert main(argv) == 1
     assert "must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("synthesize", "--s-max=inf"),
+    ("synthesize", "--s-min=-inf"),
+    ("synthesize", "--step=inf"),
+    ("synthesize", "--step=nan"),
+    ("analyze", "--s-max=inf"),
+    ("analyze", "--s-min=nan"),
+])
+@pytest.mark.filterwarnings("error")
+def test_non_finite_window_or_step_exit_1(tmp_path, cosh_sinh_file, capsys, command, flag):
+    if flag.startswith("--step"):
+        message = "step must be finite and positive"
+    else:
+        message = "require finite s_min < s_max"
+    out = tmp_path / "out.csv"
+    if command == "synthesize":
+        argv = ["synthesize", "--kappa", "1", "--tau", "1"]
+    else:
+        argv = ["analyze", "--input", str(cosh_sinh_file)]
+    assert main(argv + [flag, "--output", str(out)]) == 1
+    assert f"pgcurves: input error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -22,6 +22,7 @@ from pgcurves.dsl import (
     to_source,
     tokenize,
 )
+from pgcurves.jets import jet_pow, jet_variable
 
 
 class TestTokenize:
@@ -176,6 +177,16 @@ class TestEvalJet:
         message = f"non-finite constant exponent in '{to_source(parse_expr(source))}'"
         with pytest.raises(DomainError, match=re.escape(message)):
             eval_jet3(parse_expr(source), s)
+
+    @pytest.mark.parametrize("exponent", ["cosh(0.4)", "1.3^3", "exp(1)", "sqrt(2)"])
+    def test_exponent_uses_the_jet_evaluator(self, exponent):
+        # one evaluator: the exponent's value is the one eval_jet3 gives it
+        p = eval_jet3(parse_expr(exponent), 0.0).v
+        assert eval_jet3(parse_expr(f"s^({exponent})"), 1.7) == jet_pow(jet_variable(1.7), p)
+
+    def test_non_constant_exponent_node(self):
+        with pytest.raises(DomainError, match=re.escape("exponent is not constant in 's^s'")):
+            eval_jet3(BinOp("^", Var(), Var()), np.array([1.0, 2.0]))
 
     def test_overflow_is_domain_error(self):
         with pytest.raises(DomainError):

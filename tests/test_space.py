@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +13,8 @@ from pgcurves.space import (
     causal_character,
     det3,
     pg_inner,
+    plane_det,
+    plane_product,
 )
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -128,3 +131,14 @@ class TestDet3:
         d = det3(u1 + u2, v, w)
         split = det3(u1, v, w) + det3(u2, v, w)
         assert abs(d - split) <= 1e-12 * (self._scale(u1, v, w) + self._scale(u2, v, w))
+
+
+class TestPlaneHelpers:
+    def test_product_and_determinant_of_the_isotropic_plane(self):
+        assert plane_product(2.0, 1.0, 3.0, 5.0) == 2.0 * 3.0 - 1.0 * 5.0
+        assert plane_det(2.0, 1.0, 3.0, 5.0) == 2.0 * 5.0 - 1.0 * 3.0
+
+    def test_arrays_are_elementwise(self):
+        ay, az = np.array([1.0, 2.0]), np.array([0.5, 3.0])
+        np.testing.assert_array_equal(plane_product(ay, az, ay, az), ay * ay - az * az)
+        np.testing.assert_array_equal(plane_det(ay, az, az, ay), ay * ay - az * az)
