@@ -309,6 +309,11 @@ def main(argv=None) -> int:
             KeyError, OSError, json.JSONDecodeError) as err:
         print(f"pgcurves: input error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as err:
+        # a window, step or --samples whose arrays cannot be allocated
+        print(f"pgcurves: input error: {err or 'out of memory'}: the input is too large",
+              file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -6,18 +6,23 @@ files (17 significant digits also round-trip IEEE doubles exactly).  JSON is
 strict: a non-finite float is written as null.  CSV and .dat tables keep
 format_float's NaN, Infinity and -Infinity.
 
-Float tables are serialized column by column: format_floats formats a whole
-column in one batched call, and a FloatColumn keeps those strings, so the
-analyze CSV and its JSON rows (a FloatTable) share one formatting of each
-column, and plot-data formats s once for all of its series.  The generic
-recursive dump serves small payloads and is the reference the columnar path
-must match byte for byte.
+Float tables are serialized column by column.  format_floats formats a whole
+column with a numpy kernel that writes the bytes of format(x, ".17g"): the 17
+digits are an exactly rounded double-double product with a power of ten, and
+a table of byte masks lays them out as %g does.  Zeros, non-finite values,
+magnitudes outside [1e-250, 1e270] and values within 1e-6 of a rounding tie
+go to format_float, the scalar formatter and the tests' reference.  A
+FloatColumn keeps a column's strings, so the analyze CSV and its JSON rows (a
+FloatTable) share one formatting of each column, and plot-data formats s once
+for all of its series.  The generic recursive dump serves small payloads and
+is the reference the columnar path must match byte for byte.
 
 Curve definitions are JSON objects {"param", "y", "z", "s_min", "s_max"} with
 an optional "samples"; sampled curves are CSV files with columns s, x, y, z
 and optional appended frame columns t_y, t_z, n_y, n_z, b_y, b_z.
 """
 
+import functools
 import json
 import math
 import warnings
@@ -51,16 +56,167 @@ def format_float(x: float) -> str:
 
 
 def format_floats(values) -> list[str]:
-    """[format_float(x) for x in values] for a 1-D float array, in one batched call.
+    """[format_float(x) for x in values] for a 1-D float array, byte for byte.
 
-    One %.17g pass over the whole column (the same conversion as
-    format(x, ".17g")), then a fix-up at the few non-finite indices.
+    The numpy kernel below formats the column in blocks of _BLOCK values;
+    format_float takes the few values the kernel leaves to it.
     """
     arr = np.asarray(values, dtype=float)
-    text = ("%.17g\n" * arr.size % tuple(arr.tolist())).split("\n")
+    text: list[str] = []
+    for start in range(0, arr.size, _BLOCK):
+        text += _format_block(arr[start:start + _BLOCK])
+    return text
+
+
+# The kernel.  For |x| in [_KERNEL_MIN, _KERNEL_MAX] and k = floor(log10|x|),
+# the 17 significant digits are |x| 10^(16-k) rounded half-even, an integer in
+# [10^16, 10^17).  The product is a double-double: Dekker's exact TwoProduct
+# of |x| (Veltkamp split) and hi, plus |x| lo, where hi + lo is 10^(16-k)
+# correctly rounded to 106 bits.  Its error is below 1e-14, so a fraction
+# farther than _TIE_BAND from 1/2 rounds as the exact value does; nearer ones,
+# zeros, non-finite values and magnitudes out of range go to format_float.
+# The range keeps every partial product normal and the split free of overflow.
+# Tables are built on first use.  A block of 2048 values keeps every temporary
+# under glibc's 128 KiB mmap threshold (the byte rows are 112 KiB), so a
+# long-running process formats without page faults; np.compress builds an
+# 8-byte index per kept byte, which at this size faulted about 130 times a
+# call, so the rows are cut with a boolean index instead.
+_BLOCK = 2048
+_KERNEL_MIN, _KERNEL_MAX = 1e-250, 1e270
+_TIE_BAND = 1e-6
+_SPLIT = 134217729.0  # 2^27 + 1
+_K_MIN, _K_MAX = -252, 272  # k over the range, one off after a redo or a carry
+
+# One value's byte row, seven 8-byte words: " -0.000" d0, the other 16
+# digits, "." and pad, the 16 digits again (read after the point), and
+# "e" sign e2 e1 e0, pad and a newline.  A row of _keep_masks() selects the
+# bytes that %.17g prints.
+_ROW = b" -0.0000" + b"0" * 16 + b".       " + b"0" * 16 + b"e+000  \n"
+_LEAD, _POINT, _FRAC, _EXP = 7, 24, 32, 48
+_CASES = 23  # exponents -4..16 in fixed notation, then e+XX and e+XXX
+_FALLBACK_ROW = 2 * _CASES * 17  # keeps the newline alone
+_GROUP_OFFSETS = np.arange(4) * 10_000
+
+
+@functools.cache
+def _kernel_tables():
+    """Tables indexed by k - _K_MIN: the double-double 10^(16-k) with hi's
+    split, the exponent word and the first mask row of the case.  Then the
+    first word for each leading digit, the word of each 4-digit group, the
+    index among d1..d16 of the last nonzero digit of group j with value g at
+    j * 10^4 + g (0 if g is 0), and the masks.
+    """
+    hi, lo = [], []
+    for e in range(16 - _K_MIN, 15 - _K_MAX, -1):
+        if e >= 0:
+            h = float(10 ** e)
+            lo.append(float(10 ** e - int(h)))
+        else:
+            d = 10 ** -e
+            h = 1 / d
+            num, den = h.as_integer_ratio()
+            lo.append((den - num * d) / (d * den))
+        hi.append(h)
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    hi_hi = c - (c - hi)
+    powers = np.stack([hi, hi_hi, hi - hi_hi, np.array(lo)])
+
+    k = np.arange(_K_MIN, _K_MAX + 1)
+    exponents = np.frombuffer(b"".join(b"e%+04d  \n" % e for e in k.tolist()), dtype=np.uint64)
+    case = np.where((k >= -4) & (k < 17), k + 4, np.where(np.abs(k) >= 100, 22, 21))
+
+    lead = np.frombuffer(b"".join(_ROW[:_LEAD] + b"%d" % d for d in range(10)), dtype=np.uint64)
+    g = np.arange(10_000, dtype=np.uint16)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1).astype(np.uint8)
+    nonzero = digits != 0
+    last = (4 - np.argmax(nonzero[:, ::-1], axis=1)).astype(np.uint8) * nonzero.any(axis=1)
+    last = (np.arange(0, 16, 4, dtype=np.uint8)[:, None] + last) * (g != 0)
+    return (powers, exponents, case * 17, lead, (digits + ord("0")).view(np.uint32).ravel(),
+            last.ravel(), _keep_masks())
+
+
+def _keep_masks():
+    """Bool rows over _ROW, one per (negative, case, digits kept - 1), and
+    last the fallback row.
+
+    Case c < 21 is fixed notation with exponent c - 4; 21 and 22 are
+    scientific notation with a 2- and a 3-digit exponent.
+    """
+    p = np.arange(len(_ROW))
+    neg = np.arange(2)[:, None, None, None]
+    e = np.arange(-4, -4 + _CASES)[None, :, None, None]
+    nd = np.arange(1, 18)[None, None, :, None]
+    # digits d_first .. d_(nd-1) from the copy read after the point
+    fraction = lambda first: (p >= _FRAC - 1 + first) & (p < _FRAC - 1 + nd)
+    fixed = (((p >= _LEAD) & (p <= _LEAD + e))
+             | ((p == _POINT) & (nd > e + 1)) | fraction(e + 1))
+    small = ((p == 2) | (p == 3) | ((p >= 4) & (p < 3 - e))
+             | ((p >= _LEAD) & (p < _LEAD + nd)))
+    sci = ((p == _LEAD) | ((p == _POINT) & (nd > 1)) | fraction(1)
+           | ((p >= _EXP) & (p < _EXP + 5) & ((p != _EXP + 2) | (e == 18))))
+    keep = np.where(e >= 17, sci, np.where(e >= 0, fixed, small))
+    keep = keep | ((p == 1) & (neg == 1)) | (p == len(_ROW) - 1)
+    return np.vstack([keep.reshape(-1, len(_ROW)), p == len(_ROW) - 1])
+
+
+def _scaled(a, kk, powers):
+    """floor(a 10^(16-k)) as int64, and the fraction above it; kk = k - _K_MIN."""
+    hi, hi_hi, hi_lo, lo = np.take(powers, kk, axis=1)
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    p = a * hi
+    q = (((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo) + a * lo
+    q_floor = np.floor(q)
+    return p.astype(np.int64) + q_floor.astype(np.int64), q - q_floor
+
+
+def _format_block(x) -> list[str]:
+    powers, exponents, case_rows, lead, group_words, last_digit, masks = _kernel_tables()
+    a = np.abs(x)
+    ok = (a >= _KERNEL_MIN) & (a <= _KERNEL_MAX)
+    a = np.where(ok, a, 1.0)  # format_float takes these; 1.0 keeps the arithmetic finite
+    kk = np.floor(np.log10(a)).astype(np.int64) - _K_MIN
+    n, frac = _scaled(a, kk, powers)
+    # near a power of ten log10 can put k one off, and n outside [10^16, 10^17)
+    redo = np.flatnonzero((n - 10 ** 16).view(np.uint64) >= 9 * 10 ** 16)
+    if redo.size:
+        kk[redo] += np.where(n[redo] < 10 ** 16, -1, 1)
+        n[redo], frac[redo] = _scaled(a[redo], kk[redo], powers)
+        ok[redo] &= (n[redo] - 10 ** 16).view(np.uint64) < 9 * 10 ** 16
+    ok &= np.abs(frac - 0.5) >= _TIE_BAND
+    n += frac > 0.5
+    carry = np.flatnonzero(n == 10 ** 17)
+    n[carry] = 10 ** 16
+    kk[carry] += 1
+
+    high = n // 10 ** 8
+    lead_digit = high // 10 ** 8
+    groups = np.empty((x.size, 4), dtype=np.intp)
+    for j, half in ((0, high - lead_digit * 10 ** 8), (2, n - high * 10 ** 8)):
+        groups[:, j] = quad = half // 10_000
+        groups[:, j + 1] = half - quad * 10_000
+    last = np.take(last_digit, groups + _GROUP_OFFSETS)
+    row = (np.take(case_rows, kk) + np.maximum(np.maximum(last[:, 0], last[:, 1]),
+                                               np.maximum(last[:, 2], last[:, 3]))
+           + np.signbit(x) * (_CASES * 17))
+    bad = ~ok
+    row[bad] = _FALLBACK_ROW
+
+    words = np.empty((x.size, len(_ROW) // 8), dtype=np.uint64)
+    words[:, 0] = np.take(lead, lead_digit)
+    digits = np.take(group_words, groups).view(np.uint64)
+    words[:, 1] = words[:, 4] = digits[:, 0]
+    words[:, 2] = words[:, 5] = digits[:, 1]
+    words[:, 3] = np.frombuffer(_ROW, dtype=np.uint64)[3]
+    words[:, 6] = np.take(exponents, kk)
+
+    kept = words.view(np.uint8).ravel()[np.take(masks, row, axis=0).ravel()]
+    text = kept.tobytes().decode("ascii").split("\n")
     text.pop()
-    for i in np.flatnonzero(~np.isfinite(arr)).tolist():
-        text[i] = format_float(arr[i])
+    for i in np.flatnonzero(bad).tolist():
+        text[i] = format_float(x[i])
     return text
 
 

@@ -447,6 +447,36 @@ def test_import_loads_no_scipy_subpackage(module):
     assert out.stdout.strip() == "[]"
 
 
+def test_import_builds_no_format_tables():
+    # format_floats builds its power-of-ten, digit and mask tables on first
+    # use, so commands that write no float table never pay for them
+    probe = ("import pgcurves.cli, pgcurves.fileio as fileio; "
+             "print(fileio._kernel_tables.cache_info().currsize); "
+             "fileio.format_floats([0.5]); "
+             "print(fileio._kernel_tables.cache_info().currsize)")
+    assert _run_fresh_interpreter(probe).stdout.split() == ["0", "1"]
+
+
+def test_oversize_input_exit_1(tmp_path, cosh_sinh_file):
+    # The address-space limit makes the allocations fail on any host,
+    # whatever its memory and overcommit policy.
+    synth_out, analyze_out = tmp_path / "synth.csv", tmp_path / "analyze"
+    probe = ("import resource, pgcurves.cli; "
+             "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
+             "print(pgcurves.cli.main(['synthesize', '--kappa', '1', '--tau', '1', "
+             f"'--s-max', '1e12', '--output', {str(synth_out)!r}]), "
+             f"pgcurves.cli.main(['analyze', '--input', {str(cosh_sinh_file)!r}, "
+             f"'--samples', str(10 ** 11), '--output', {str(analyze_out)!r}]))")
+    out = _run_fresh_interpreter(probe)
+    assert out.stdout.split() == ["1", "1"]
+    lines = out.stderr.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert line.startswith("pgcurves: input error: ")
+        assert line.endswith(": the input is too large")
+    assert not synth_out.exists() and not analyze_out.exists()
+
+
 def test_cold_sampled_classify_loads_linalg_not_interpolate(tmp_path, cosh_sinh_csv):
     # the quintic spline is numpy code around one LAPACK call, dgbsv, so a
     # sampled curve loads scipy.linalg and never the spline stack

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pgcurves.cli import main
 from pgcurves.fileio import (
@@ -50,6 +52,45 @@ def _float_corpus():
     return np.concatenate([special, signs * magnitudes, rng.standard_normal(200)])
 
 
+def _reference(values):
+    """format(x, ".17g") with format_float's spellings of NaN and the infinities."""
+    values = np.asarray(values, dtype=float)
+    text = [format(x, ".17g") for x in values.tolist()]
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        text[i] = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[text[i]]
+    return text
+
+
+def _signed(values):
+    values = np.asarray(values, dtype=float).ravel()
+    return np.concatenate([values, -values])
+
+
+def _powers_of_ten_and_neighbours():
+    powers = 10.0 ** np.arange(-300, 301).astype(float)
+    return _signed([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+
+
+# Inputs where a vectorised %.17g goes wrong first: the normalisation of the
+# decimal exponent at powers of ten, values that round up to the next power,
+# exact ties at the 17th digit (1234567890123456.25 and .75), integers past
+# 2^53, and the magnitudes at both ends of the double range.
+_EDGE_CASES = {
+    "powers_of_ten": _powers_of_ten_and_neighbours,
+    "powers_of_two": lambda: _signed(2.0 ** np.arange(-999, 1000).astype(float)),
+    "halves": lambda: _signed(np.arange(-10_000, 10_000) + 0.5),
+    "ties_at_17_digits": lambda: _signed(1234567890123456.0 + np.arange(1_000)
+                                         + np.array([[0.25], [0.75]])),
+    "past_2_53": lambda: _signed(2.0 ** 53 + 2.0 * np.arange(10_000)),
+    "rounds_to_next_power": lambda: _signed(
+        [9.9999999999999999e22, 99999999999999999.0, 0.99999999999999999,
+         9.99999999999999999e-5, 9.999999999999999e16, 1e17 - 8.0]),
+    "subnormal_zero_max": lambda: _signed(
+        [5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308, 0.0,
+         1e-250, 1e270, 1.7976931348623157e308, np.inf, np.nan]),
+}
+
+
 class TestFormatFloats:
     def test_matches_format_float(self):
         corpus = _float_corpus()
@@ -57,6 +98,20 @@ class TestFormatFloats:
 
     def test_empty(self):
         assert format_floats(np.array([])) == []
+
+    @pytest.mark.parametrize("name", sorted(_EDGE_CASES))
+    def test_edge_cases_match_format(self, name):
+        values = _EDGE_CASES[name]()
+        assert format_floats(values) == _reference(values)
+
+    def test_random_bit_patterns_match_format(self):
+        bits = np.random.default_rng(2024).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert format_floats(values) == _reference(values)
+
+    @given(st.lists(st.floats(), max_size=50))
+    def test_hypothesis_floats_match_format(self, values):
+        assert format_floats(np.array(values, dtype=float)) == _reference(values)
 
     def test_json_text_nulls_only_non_finite(self):
         corpus = _float_corpus()
