@@ -9,8 +9,9 @@ eta = 0,  solved in closed form by
     eta(s) = (c1 + c2 s) e^(-tau s) - (c3 + c4 s) e^(tau s).
 
 The fitter recovers (kappa, tau, c1..c4) from raw samples of (xi, eta)
-alone, locating tau by linear prediction on the uniform grid plus variable
-projection.
+alone: an integral-equation regression gives candidate taus on any grid,
+one joint least-squares fit scores each, and one Gauss-Newton step refines
+the winner (variable projection).
 """
 
 import numpy as np

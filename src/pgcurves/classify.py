@@ -53,12 +53,9 @@ __all__ = [
 DEFAULT_TOL_EXACT = 1e-6
 DEFAULT_TOL_SAMPLED = 1e-4
 
-# Blind fit: the |tau| window a candidate rate must lie in, the largest
-# polish step relative to max(1, |tau|), the relative spacings of the
-# parabola-vertex cascade, and the tau taken when no candidate is in range.
+# Blind fit: the |tau| window a candidate rate must lie in to get a joint
+# fit, and the tau taken when no candidate is in range.
 _RATE_RANGE = (1e-4, 24.0)
-_POLISH_REL_MAX_STEP = 0.02
-_POLISH_REL_DELTAS = (1e-3, 1e-5, 1e-7, 1e-9)
 _FIXED_TAU = 1.0
 
 
@@ -67,7 +64,7 @@ class SingularFrame(Exception):
 
 
 class DegenerateFit(Exception):
-    """Too little data to fit (grid shorter than the parameter count)."""
+    """Too little data to fit, or fitted coefficients that overflow."""
 
 
 class NonConstantInvariants(Exception):
@@ -260,9 +257,9 @@ class NormalFit:
     xi_residual / eta_residual are the max absolute misfits of the two
     components.  The blind fit also records which regression model gave its
     tau (tau_source "two-rate" or "one-rate", or "fixed" when the data carry
-    no rate, as constant profiles do), how many taus it scored, and the joint
-    projection residual at the fitted tau; a fit at measured invariants
-    leaves them unset.
+    no rate, as constant profiles do) and projection_residual, the squared
+    residual of its joint fit of c1..c4 and kappa/tau^2 at tau0; a fit at
+    measured invariants leaves them unset.
     """
 
     kappa0: float
@@ -274,7 +271,6 @@ class NormalFit:
     xi_residual: float
     eta_residual: float
     tau_source: str | None = None
-    tau_evaluations: int = 0
     projection_residual: float | None = None
 
 
@@ -311,28 +307,19 @@ def normal_ode_residuals(xi, eta, kappa: float, tau: float, grid) -> tuple[float
     return float(r1), float(r2)
 
 
-def _stacked_basis(s: np.ndarray, tau: float):
-    em = np.exp(-tau * s)
-    ep = np.exp(tau * s)
-    return em, ep
-
-
-def _fit_c_given_invariants(s, xi, eta, kappa, tau):
-    """Joint linear least squares for (c1..c4) at known kappa, tau."""
-    em, ep = _stacked_basis(s, tau)
-    n = s.size
-    a = np.zeros((2 * n, 4))
-    a[:n, 0] = em
-    a[:n, 1] = s * em
+def _family_columns(x, tau):
+    """Stacked (2n, 5) columns of c1..c4 and kappa/tau^2 for the system [xi; eta]."""
+    em, ep = np.exp(-tau * x), np.exp(tau * x)
+    n = x.size
+    a = np.zeros((2 * n, 5))
+    a[:n, 0] = a[n:, 0] = em
+    a[:n, 1] = a[n:, 1] = x * em
     a[:n, 2] = ep
-    a[:n, 3] = s * ep
-    a[n:, 0] = em
-    a[n:, 1] = s * em
+    a[:n, 3] = x * ep
     a[n:, 2] = -ep
-    a[n:, 3] = -s * ep
-    rhs = np.concatenate([xi - kappa / tau ** 2, eta])
-    coef, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    return coef
+    a[n:, 3] = -x * ep
+    a[:n, 4] = 1.0
+    return a
 
 
 def fit_normal_components(dec: FrameDecomposition,
@@ -356,13 +343,14 @@ def fit_normal_components(dec: FrameDecomposition,
     if abs(tau) < 1e-9:
         raise ZeroTorsion("component family is singular at tau = 0")
 
-    coef = _fit_c_given_invariants(grid.s, dec.beta, dec.gamma, kappa, tau)
+    rhs = np.concatenate([dec.beta - kappa / tau ** 2, dec.gamma])
+    coef, *_ = np.linalg.lstsq(_family_columns(grid.s, tau)[:, :4], rhs, rcond=None)
     return _build_normal_fit(grid.s, dec.beta, dec.gamma, kappa, tau, coef)
 
 
 def _build_normal_fit(s, xi, eta, kappa, tau, coef, **diagnostics) -> NormalFit:
     c1, c2, c3, c4 = (float(v) for v in coef)
-    em, ep = _stacked_basis(s, tau)
+    em, ep = np.exp(-tau * s), np.exp(tau * s)
     xi_fit = (c1 + c2 * s) * em + (c3 + c4 * s) * ep + kappa / tau ** 2
     eta_fit = (c1 + c2 * s) * em - (c3 + c4 * s) * ep
     xi_residual = float(np.max(np.abs(xi_fit - xi)))
@@ -371,82 +359,6 @@ def _build_normal_fit(s, xi, eta, kappa, tau, coef, **diagnostics) -> NormalFit:
                      c1=c1, c2=c2, c3=c3, c4=c4,
                      xi_residual=xi_residual, eta_residual=eta_residual,
                      **diagnostics)
-
-
-# at tau = 0 the first column is constant, so centering zeroes it and the
-# scores come out NaN; they are reported as +inf, and no tau-0 candidate wins
-@np.errstate(invalid="ignore", divide="ignore")
-def _projection_scores(s, u, v, taus):
-    """Joint variable-projection residuals of the split family at many taus.
-
-    For each tau, u is fitted on {e^-tau s, s e^-tau s, 1} and v on the
-    mirror {e^tau s, s e^tau s, 1}.  The 2K fits are stacked as rows and
-    solved together by a QR of their columns: centering removes the constant
-    column, and Gram-Schmidt with one reorthogonalization handles the other
-    two.  Returns the joint squared residuals (K,) and the u and v
-    coefficients (K, 3) each, constant term last.  The residual is formed
-    explicitly as y - A c.
-    """
-    taus = np.asarray(taus, dtype=float)
-    k, n = taus.size, s.size
-    e = np.exp(np.multiply.outer(np.concatenate([-taus, taus]), s))
-    se = s * e
-    y = np.empty_like(e)
-    y[:k] = u
-    y[k:] = v
-    e_mean, se_mean, y_mean = (a.sum(axis=1) / n for a in (e, se, y))
-    x1 = e - e_mean[:, None]
-    x2 = se - se_mean[:, None]
-    yc = y - y_mean[:, None]
-    r11 = np.sqrt(_row_dot(x1, x1))
-    x1 /= r11[:, None]
-    r12 = _row_dot(x1, x2)
-    x2 -= r12[:, None] * x1
-    extra = _row_dot(x1, x2)
-    x2 -= extra[:, None] * x1
-    r12 += extra
-    c2 = _row_dot(x2, yc) / _row_dot(x2, x2)
-    c1 = (_row_dot(x1, yc) - r12 * c2) / r11
-    c0 = y_mean - c1 * e_mean - c2 * se_mean
-    res = y - c0[:, None] - c1[:, None] * e - c2[:, None] * se
-    rows = _row_dot(res, res)
-    scores = rows[:k] + rows[k:]
-    scores[np.isnan(scores)] = np.inf
-    coef = np.stack([c1, c2, c0], axis=1)
-    return scores, coef[:k], coef[k:]
-
-
-def _row_dot(a, b):
-    return np.einsum("ij,ij->i", a, b)
-
-
-def _parabolic_polish(score, x0: float) -> float:
-    """Refine a smooth scalar minimum by parabola-vertex steps.
-
-    The squared projection residual is smooth in tau, so a cascade of
-    parabola fits at shrinking spacing recovers the vertex to near machine
-    precision; a generic bracketing minimizer stalls near sqrt(machine eps)
-    relative accuracy.  A vertex may lie many spacings away (the residual is
-    not quadratic at the coarse levels, and each finer level must be able to
-    correct that), so a step is capped only at 2% of max(1, |tau|) and is
-    taken only when it lowers the residual.  score maps an array of taus to
-    their residuals; each level scores its three points in one call and the
-    trial point in a second.
-    """
-    x = x0
-    max_step = _POLISH_REL_MAX_STEP * max(1.0, abs(x0))
-    for rel in _POLISH_REL_DELTAS:
-        d = rel * max(1.0, abs(x))
-        f_minus, f_0, f_plus = score(np.array([x - d, x, x + d]))
-        denom = f_minus - 2.0 * f_0 + f_plus
-        if denom <= 0.0:
-            continue
-        step = 0.5 * d * (f_minus - f_plus) / denom
-        if abs(step) > max_step:
-            step = math.copysign(max_step, step)
-        if score(np.array([x + step]))[0] <= f_0:
-            x = x + step
-    return x
 
 
 def _lstsq_scaled(a, y):
@@ -493,26 +405,34 @@ def _regression_rates(s, u, v) -> list[tuple[float, str]]:
     return rates + [(-float(one_rate), "one-rate")]
 
 
+def _joint_fit(x, y, tau):
+    """The 5-column fit of y = [xi; eta] at tau: columns, coefficients, residual."""
+    a = _family_columns(x, tau)
+    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
+    r = y - a @ coef
+    return a, coef, r, float(r @ r)
+
+
 def fit_normal_samples(s, xi, eta) -> NormalFit:
     """Recover (kappa, tau, c1..c4) from sampled component profiles alone.
 
     s, xi and eta must be 1-D, of equal length and finite, and s must be
     strictly increasing; otherwise a ValueError names the offending argument.
-    The model is linear in everything except tau, which is
-    located by variable projection: for a candidate tau the symmetric
-    combinations (xi + eta)/2 and (xi - eta)/2 are fitted linearly and tau
-    minimizes the joint residual.  That residual is multimodal with a very
-    narrow true basin, so the candidates come from an integral-equation
-    regression (_regression_rates) that lands inside it on any grid, uniform
-    or not.  The best-scoring candidate of the two-rate model is polished by
-    parabola-vertex steps; a winning one-rate candidate is kept as it is,
-    because on data without a linear factor the residual is flat to fourth
-    order in tau and a polish would wander inside the rounding floor.
+    The model is linear in c1..c4 and kappa/tau^2, so for a given tau one
+    joint least-squares fit of [xi; eta] gives them all, and tau minimizes
+    the residual of that fit (variable projection).  The residual is
+    multimodal with a very narrow true basin, so the candidates come from an
+    integral-equation regression (_regression_rates) that lands inside it on
+    any grid, uniform or not.  Each candidate gets one joint fit and the
+    lowest residual wins.  A two-rate winner takes one Gauss-Newton step in
+    tau, kept only when it is finite and does not raise the residual; a
+    one-rate winner is kept as it is, because on data without a linear
+    factor the residual is flat to fourth order in tau.
 
-    Taus are scored in batches by one vectorized kernel: the (at most three)
-    candidates in one call, each of the four polish levels in two (three
-    points, then the trial step) and the final coefficients in one, so a fit
-    makes at most 10 kernel calls and scores at most 20 taus.
+    The family's coefficients belong to s = 0, but the fit runs in
+    x = s - s[0], so a grid far from 0 loses nothing to e^(tau s); the
+    coefficients are mapped back to s afterwards.  DegenerateFit is raised
+    when they, or the misfit, are not finite (|tau s[0]| beyond about 709).
     """
     s, xi, eta = (np.asarray(a, dtype=float) for a in (s, xi, eta))
     for name, a in (("s", s), ("xi", xi), ("eta", eta)):
@@ -528,34 +448,39 @@ def fit_normal_samples(s, xi, eta) -> NormalFit:
         raise DegenerateFit("need at least 6 samples to recover the family")
     u = 0.5 * (xi + eta)
     v = 0.5 * (xi - eta)
-    evaluations = 0
-
-    def project(taus):
-        nonlocal evaluations
-        evaluations += len(taus)
-        return _projection_scores(s, u, v, taus)
-
-    def score(taus):
-        return project(taus)[0]
-
+    x = s - s[0]
+    y = np.concatenate([xi, eta])
     lo, hi = _RATE_RANGE
     candidates = [(tau, model) for tau, model in _regression_rates(s, u, v)
                   if lo <= abs(tau) <= hi]
-    if candidates:
-        tau, source = candidates[int(np.argmin(score([t for t, _ in candidates])))]
-    else:
-        # constant data: every tau reproduces them, and kappa follows below
-        tau, source = _FIXED_TAU, "fixed"
+    if not candidates:
+        # constant data: every tau reproduces them, and kappa follows from the fit
+        candidates = [(_FIXED_TAU, "fixed")]
+    (a, coef, r, residual), tau, source = min(
+        ((_joint_fit(x, y, tau), tau, model) for tau, model in candidates),
+        key=lambda fit: fit[0][3])
     if source == "two-rate":
-        tau = _parabolic_polish(score, tau)
+        # one Gauss-Newton step: dA/dtau c scales the e^-tau x columns by -x
+        # and the e^tau x columns by x
+        da_c = np.concatenate([x, x]) * (a[:, 2:4] @ coef[2:4] - a[:, :2] @ coef[:2])
+        step = float(_lstsq_scaled(np.column_stack([a, da_c]), r)[-1])
+        if math.isfinite(step):
+            trial = _joint_fit(x, y, tau + step)
+            if trial[3] <= residual:
+                tau, (_, coef, _, residual) = tau + step, trial
     if abs(tau) < 1e-9:
         raise ZeroTorsion("recovered torsion is numerically zero")
 
-    scores, cu, cv = project(np.array([tau]))
-    # Constant terms of both halves estimate kappa / (2 tau^2).
-    kappa = float(tau ** 2 * (cu[0, 2] + cv[0, 2]))
-    # Final polish: joint linear fit of all four coefficients at fixed tau.
-    coef = _fit_c_given_invariants(s, xi, eta, kappa, tau)
-    return _build_normal_fit(s, xi, eta, kappa, tau, coef, tau_source=source,
-                             tau_evaluations=evaluations,
-                             projection_residual=float(scores[0]))
+    kappa = float(coef[4] * tau ** 2)
+    # (a1 + a2 x) e^(-tau x) = (c1 + c2 s) e^(-tau s) with c2 = a2 e^(tau s0)
+    # and c1 = a1 e^(tau s0) - c2 s0; c3 and c4 mirror them with -tau
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_minus, f_plus = np.exp(tau * s[0]), np.exp(-tau * s[0])
+        c2, c4 = coef[1] * f_minus, coef[3] * f_plus
+        c = (coef[0] * f_minus - c2 * s[0], c2, coef[2] * f_plus - c4 * s[0], c4)
+        fit = _build_normal_fit(s, xi, eta, kappa, tau, c, tau_source=source,
+                                projection_residual=residual)
+    if not np.isfinite([*c, fit.xi_residual, fit.eta_residual]).all():
+        raise DegenerateFit(f"coefficients at s = 0 overflow for tau {tau:.17g} "
+                            f"on a grid starting at s = {s[0]:.17g}")
+    return fit

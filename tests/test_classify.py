@@ -34,23 +34,6 @@ def _position(curve, s):
     return PGVector3(float(x), float(y), float(z))
 
 
-def _split_projection_residual(s, u, v, tau):
-    """Reference scorer: fit u on {e^-tau s, s e^-tau s, 1} and v on the mirror.
-
-    Two independent LAPACK least-squares solves (SVD-based) per tau; the
-    batched kernel classify._projection_scores must agree with it.
-    """
-    em, ep = np.exp(-tau * s), np.exp(tau * s)
-    ones = np.ones_like(s)
-    au = np.column_stack([em, s * em, ones])
-    av = np.column_stack([ep, s * ep, ones])
-    cu = np.linalg.lstsq(au, u, rcond=None)[0]
-    cv = np.linalg.lstsq(av, v, rcond=None)[0]
-    res_u = u - au @ cu
-    res_v = v - av @ cv
-    return float(np.dot(res_u, res_u) + np.dot(res_v, res_v)), cu, cv
-
-
 class TestFrameComponents:
     def test_cosh_sinh_at_zero(self):
         fc = frame_components(COSH_SINH, 0.0, ORIGIN)
@@ -242,29 +225,51 @@ class TestFitNormalSamples:
         got = (fit.kappa0, fit.tau0, fit.c1, fit.c2, fit.c3, fit.c4)
         assert got == pytest.approx((kappa, tau, *c), abs=1e-8)
 
-    def test_objective_evaluations_per_fit(self, monkeypatch):
-        batches = []
-        original = classify._projection_scores
-
-        def counted(s, u, v, taus):
-            batches.append(len(taus))
-            return original(s, u, v, taus)
-
-        monkeypatch.setattr(classify, "_projection_scores", counted)
-        kappa, tau = 3.7, -2.2
-        c = (0.6, -0.9, 0.35, 0.2)
+    def _two_rate_case(self):
+        """A two-rate profile, its tau and its in-range candidate taus."""
+        tau = -2.2
         s = np.linspace(0.0, 2.5 / abs(tau), 121)
-        xi, eta = self._reference_profile(s, kappa, tau, c)
+        xi, eta = self._reference_profile(s, 3.7, tau, (0.6, -0.9, 0.35, 0.2))
+        lo, hi = classify._RATE_RANGE
+        rates = classify._regression_rates(s, 0.5 * (xi + eta), 0.5 * (xi - eta))
+        return s, xi, eta, tau, [t for t, _ in rates if lo <= abs(t) <= hi]
+
+    def test_one_joint_fit_per_candidate_and_one_step(self, monkeypatch):
+        s, xi, eta, tau, candidates = self._two_rate_case()
+        taus = []
+        original = classify._joint_fit
+
+        def counted(x, y, tau):
+            taus.append(tau)
+            return original(x, y, tau)
+
+        monkeypatch.setattr(classify, "_joint_fit", counted)
         fit = fit_normal_samples(s, xi, eta)
         assert fit.tau0 == pytest.approx(tau, abs=1e-8)
         assert fit.tau_source == "two-rate"
-        assert fit.tau_evaluations == sum(batches)
-        assert fit.tau_evaluations <= 100
-        assert len(batches) <= 12
-        # the reported residual is the kernel's score at the fitted tau
-        u, v = 0.5 * (xi + eta), 0.5 * (xi - eta)
-        assert fit.projection_residual == original(s, u, v, np.array([fit.tau0]))[0][0]
+        assert len(taus) <= len(candidates) + 1
+        # the reported residual is the joint fit's at the fitted tau
+        y = np.concatenate([xi, eta])
+        assert fit.projection_residual == original(s, y, fit.tau0)[3]
         assert fit.projection_residual <= 1e-20
+
+    def test_gauss_newton_step_rejected_when_residual_rises(self, monkeypatch):
+        s, xi, eta, _, candidates = self._two_rate_case()
+        y = np.concatenate([xi, eta])
+        original = classify._joint_fit
+        winner = min(candidates, key=lambda t: original(s, y, t)[3])
+        # unpatched, the step moves tau off the candidate
+        assert fit_normal_samples(s, xi, eta).tau0 != winner
+
+        def worse_off_candidates(x, y, tau):
+            a, coef, r, residual = original(x, y, tau)
+            return a, coef, r, residual if tau in candidates else residual + 1.0
+
+        monkeypatch.setattr(classify, "_joint_fit", worse_off_candidates)
+        fit = fit_normal_samples(s, xi, eta)
+        assert fit.tau_source == "two-rate"
+        assert fit.tau0 == winner
+        assert fit.projection_residual == original(s, y, winner)[3]
 
     def test_non_uniform_grid_recovered(self):
         # the regression candidates need no uniform grid
@@ -305,6 +310,28 @@ class TestFitNormalSamples:
             worst = max(worst, float(np.max(np.abs(got - (kappa, tau, *c)))))
         assert worst <= 1e-8, worst
 
+    @pytest.mark.parametrize("s0", [0.0, 50.0, 400.0])
+    def test_grid_far_from_origin(self, s0, capfd):
+        # the profile has coefficients (0.3, -0.2, 0.1, 0.05) at s0, so its
+        # coefficients at s = 0 carry e^(tau s0) and e^(-tau s0)
+        kappa, tau = 2.0, 1.3
+        s = np.linspace(s0, s0 + 2.0, 161)
+        xi, eta = self._reference_profile(s - s0, kappa, tau, (0.3, -0.2, 0.1, 0.05))
+        fit = fit_normal_samples(s, xi, eta)
+        assert fit.tau0 == pytest.approx(tau, abs=1e-8)
+        assert fit.kappa0 == pytest.approx(kappa, abs=1e-8)
+        assert max(fit.xi_residual, fit.eta_residual) <= 1e-10
+        # LAPACK reports illegal arguments on the process's stderr
+        assert capfd.readouterr().err == ""
+
+    def test_coefficients_overflowing_at_origin_rejected(self):
+        # tau s0 = 780: e^(tau s0) overflows, so c1 and c2 cannot be represented
+        kappa, tau, s0 = 2.0, 1.3, 600.0
+        s = np.linspace(s0, s0 + 2.0, 161)
+        xi, eta = self._reference_profile(s - s0, kappa, tau, (0.3, -0.2, 0.1, 0.05))
+        with pytest.raises(DegenerateFit, match="overflow"):
+            fit_normal_samples(s, xi, eta)
+
     @pytest.mark.parametrize("case", ["nan_xi", "inf_eta", "short_xi", "long_eta", "2d_s",
                                       "unsorted_s"])
     def test_bad_input_rejected_before_linear_algebra(self, case, capfd):
@@ -327,70 +354,6 @@ class TestFitNormalSamples:
             fit_normal_samples(s, xi, eta)
         # LAPACK reports illegal arguments on the process's stderr
         assert capfd.readouterr().err == ""
-
-
-class TestProjectionKernel:
-    """classify._projection_scores against the two-lstsq reference scorer."""
-
-    @staticmethod
-    def _profiles(rng, kind, s):
-        if kind == "noise":
-            return rng.normal(size=(2, s.size))
-        tau = rng.uniform(0.1, 5.0) * rng.choice([-1.0, 1.0])
-        kappa = rng.uniform(0.1, 10.0)
-        c1, c2, c3, c4 = rng.uniform(-1.0, 1.0, size=4)
-        return ((c1 + c2 * s) * np.exp(-tau * s) + 0.5 * kappa / tau**2,
-                (c3 + c4 * s) * np.exp(tau * s) + 0.5 * kappa / tau**2)
-
-    @pytest.mark.parametrize("kind", ["noise", "family"])
-    def test_matches_reference_scorer(self, kind):
-        rng = np.random.default_rng(0)
-        eps = np.finfo(float).eps
-        for _ in range(25):
-            s = np.linspace(0.0, rng.uniform(1.0, 3.0), 121)
-            u, v = self._profiles(rng, kind, s)
-            taus = rng.uniform(0.05, 6.0, 41) * rng.choice([-1.0, 1.0], 41)
-            scores, _, _ = classify._projection_scores(s, u, v, taus)
-            y_norm = np.sqrt(u @ u + v @ v)
-            for tau, got in zip(taus, scores):
-                want = _split_projection_residual(s, u, v, tau)[0]
-                # 1e-12 relative plus a 1e-30 floor; the last term is the
-                # rounding floor of forming y - A c, which both scorers share
-                # and which dominates only when the residual is many orders
-                # below |y| (a family profile near its own tau)
-                bound = 1e-12 * want + 1e-30 + 16.0 * eps * np.sqrt(want) * y_norm
-                assert abs(got - want) <= bound, (tau, got, want)
-
-    def test_coefficients_give_the_scored_residual(self):
-        rng = np.random.default_rng(5)
-        s = np.linspace(0.0, 2.0, 121)
-        u, v = self._profiles(rng, "family", s)
-        taus = np.array([-2.5, -0.3, 0.7, 4.1])
-        scores, cu, cv = classify._projection_scores(s, u, v, taus)
-        for tau, score, a, b in zip(taus, scores, cu, cv):
-            em, ep = np.exp(-tau * s), np.exp(tau * s)
-            res_u = u - (a[0] + a[1] * s) * em - a[2]
-            res_v = v - (b[0] + b[1] * s) * ep - b[2]
-            assert res_u @ res_u + res_v @ res_v == pytest.approx(score, rel=1e-12, abs=1e-30)
-            want = _split_projection_residual(s, u, v, tau)[0]
-            assert score <= want * (1.0 + 1e-12) + 1e-30
-
-    def test_batch_of_41_matches_single_tau(self):
-        rng = np.random.default_rng(11)
-        s = np.linspace(0.0, 1.7, 121)
-        for kind in ("noise", "family"):
-            u, v = self._profiles(rng, kind, s)
-            taus = rng.uniform(0.05, 6.0, 41) * rng.choice([-1.0, 1.0], 41)
-            batch = classify._projection_scores(s, u, v, taus)[0]
-            for tau, in_batch in zip(taus, batch):
-                alone = classify._projection_scores(s, u, v, np.array([tau]))[0][0]
-                assert abs(alone - in_batch) <= 1e-12 * in_batch + 1e-30
-
-    def test_zero_tau_never_wins(self):
-        s = np.linspace(0.0, 2.0, 121)
-        u, v = np.exp(-s), np.exp(s)
-        scores = classify._projection_scores(s, u, v, np.array([0.0, 1.0]))[0]
-        assert scores[0] == np.inf and scores[1] <= 1e-20
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -430,5 +393,4 @@ class TestFitNormalComponents:
     def test_no_blind_fit_diagnostics(self):
         fit = fit_normal_components(_decompose(COSH_SINH))
         assert fit.tau_source is None
-        assert fit.tau_evaluations == 0
         assert fit.projection_residual is None
