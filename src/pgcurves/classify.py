@@ -57,6 +57,9 @@ DEFAULT_TOL_SAMPLED = 1e-4
 # fit, and the tau taken when no candidate is in range.
 _RATE_RANGE = (1e-4, 24.0)
 _FIXED_TAU = 1.0
+# A tau whose fit columns x e^(|tau| x) would pass e^300 is skipped: the fit
+# squares the columns, and the squares must stay finite.
+_MAX_LOG_COLUMN = 300.0
 
 
 class SingularFrame(Exception):
@@ -405,6 +408,12 @@ def _regression_rates(s, u, v) -> list[tuple[float, str]]:
     return rates + [(-float(one_rate), "one-rate")]
 
 
+def _columns_in_range(x, tau) -> bool:
+    """Whether tau is finite and _family_columns(x, tau) stays within
+    e^_MAX_LOG_COLUMN on the grid x, which starts at 0."""
+    return abs(tau) * x[-1] + math.log(max(x[-1], 1.0)) <= _MAX_LOG_COLUMN
+
+
 def _joint_fit(x, y, tau):
     """The 5-column fit of y = [xi; eta] at tau: columns, coefficients, residual."""
     a = _family_columns(x, tau)
@@ -427,7 +436,9 @@ def fit_normal_samples(s, xi, eta) -> NormalFit:
     lowest residual wins.  A two-rate winner takes one Gauss-Newton step in
     tau, kept only when it is finite and does not raise the residual; a
     one-rate winner is kept as it is, because on data without a linear
-    factor the residual is flat to fourth order in tau.
+    factor the residual is flat to fourth order in tau.  A candidate or step
+    whose columns overflow the fit's squares (_columns_in_range) is skipped,
+    and DegenerateFit is raised when no candidate is left.
 
     The family's coefficients belong to s = 0, but the fit runs in
     x = s - s[0], so a grid far from 0 loses nothing to e^(tau s); the
@@ -456,6 +467,10 @@ def fit_normal_samples(s, xi, eta) -> NormalFit:
     if not candidates:
         # constant data: every tau reproduces them, and kappa follows from the fit
         candidates = [(_FIXED_TAU, "fixed")]
+    candidates = [(tau, model) for tau, model in candidates if _columns_in_range(x, tau)]
+    if not candidates:
+        raise DegenerateFit(f"every candidate tau overflows e^(tau x) on a grid "
+                            f"of length {x[-1]:.17g}")
     (a, coef, r, residual), tau, source = min(
         ((_joint_fit(x, y, tau), tau, model) for tau, model in candidates),
         key=lambda fit: fit[0][3])
@@ -464,7 +479,7 @@ def fit_normal_samples(s, xi, eta) -> NormalFit:
         # and the e^tau x columns by x
         da_c = np.concatenate([x, x]) * (a[:, 2:4] @ coef[2:4] - a[:, :2] @ coef[:2])
         step = float(_lstsq_scaled(np.column_stack([a, da_c]), r)[-1])
-        if math.isfinite(step):
+        if _columns_in_range(x, tau + step):
             trial = _joint_fit(x, y, tau + step)
             if trial[3] <= residual:
                 tau, (_, coef, _, residual) = tau + step, trial

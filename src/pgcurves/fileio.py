@@ -9,13 +9,14 @@ format_float's NaN, Infinity and -Infinity.
 Float tables are serialized column by column.  format_floats formats a whole
 column with a numpy kernel that writes the bytes of format(x, ".17g"): the 17
 digits are an exactly rounded double-double product with a power of ten, and
-a table of byte masks lays them out as %g does.  Zeros, non-finite values,
-magnitudes outside [1e-250, 1e270] and values within 1e-6 of a rounding tie
-go to format_float, the scalar formatter and the tests' reference.  A
-FloatColumn keeps a column's strings, so the analyze CSV and its JSON rows (a
-FloatTable) share one formatting of each column, and plot-data formats s once
-for all of its series.  The generic recursive dump serves small payloads and
-is the reference the columnar path must match byte for byte.
+a table of byte masks lays them out as %g does; two more mask rows write 0
+and -0.  Non-finite values, magnitudes outside [1e-250, 1e270] and values
+within 1e-6 of a rounding tie go to format_float, the scalar formatter and
+the tests' reference.  A FloatColumn keeps a column's strings, so the analyze
+CSV and its JSON rows (a FloatTable) share one formatting of each column, and
+plot-data formats s once for all of its series.  JSON rows and series are
+joined column by column.  The generic recursive dump serves small payloads
+and is the reference the columnar path must match byte for byte.
 
 Curve definitions are JSON objects {"param", "y", "z", "s_min", "s_max"} with
 an optional "samples"; sampled curves are CSV files with columns s, x, y, z
@@ -74,7 +75,8 @@ def format_floats(values) -> list[str]:
 # of |x| (Veltkamp split) and hi, plus |x| lo, where hi + lo is 10^(16-k)
 # correctly rounded to 106 bits.  Its error is below 1e-14, so a fraction
 # farther than _TIE_BAND from 1/2 rounds as the exact value does; nearer ones,
-# zeros, non-finite values and magnitudes out of range go to format_float.
+# non-finite values and other magnitudes out of range go to format_float, and
+# zeros take the mask rows of 0 and -0.
 # The range keeps every partial product normal and the split free of overflow.
 # Tables are built on first use.  A block of 2048 values keeps every temporary
 # under glibc's 128 KiB mmap threshold (the byte rows are 112 KiB), so a
@@ -94,7 +96,7 @@ _K_MIN, _K_MAX = -252, 272  # k over the range, one off after a redo or a carry
 _ROW = b" -0.0000" + b"0" * 16 + b".       " + b"0" * 16 + b"e+000  \n"
 _LEAD, _POINT, _FRAC, _EXP = 7, 24, 32, 48
 _CASES = 23  # exponents -4..16 in fixed notation, then e+XX and e+XXX
-_FALLBACK_ROW = 2 * _CASES * 17  # keeps the newline alone
+_FALLBACK_ROW = 2 * _CASES * 17  # keeps the newline alone; 0 and -0 follow
 _GROUP_OFFSETS = np.arange(4) * 10_000
 
 
@@ -137,8 +139,8 @@ def _kernel_tables():
 
 
 def _keep_masks():
-    """Bool rows over _ROW, one per (negative, case, digits kept - 1), and
-    last the fallback row.
+    """Bool rows over _ROW, one per (negative, case, digits kept - 1), then
+    the fallback row and the rows of 0 and -0.
 
     Case c < 21 is fixed notation with exponent c - 4; 21 and 22 are
     scientific notation with a 2- and a 3-digit exponent.
@@ -156,8 +158,11 @@ def _keep_masks():
     sci = ((p == _LEAD) | ((p == _POINT) & (nd > 1)) | fraction(1)
            | ((p >= _EXP) & (p < _EXP + 5) & ((p != _EXP + 2) | (e == 18))))
     keep = np.where(e >= 17, sci, np.where(e >= 0, fixed, small))
-    keep = keep | ((p == 1) & (neg == 1)) | (p == len(_ROW) - 1)
-    return np.vstack([keep.reshape(-1, len(_ROW)), p == len(_ROW) - 1])
+    end = p == len(_ROW) - 1
+    keep = keep | ((p == 1) & (neg == 1)) | end
+    # byte 2 is always "0" and byte 1 the "-" sign
+    zero = end | (p == 2)
+    return np.vstack([keep.reshape(-1, len(_ROW)), end, zero, zero | (p == 1)])
 
 
 def _scaled(a, kk, powers):
@@ -201,8 +206,8 @@ def _format_block(x) -> list[str]:
     row = (np.take(case_rows, kk) + np.maximum(np.maximum(last[:, 0], last[:, 1]),
                                                np.maximum(last[:, 2], last[:, 3]))
            + np.signbit(x) * (_CASES * 17))
-    bad = ~ok
-    row[bad] = _FALLBACK_ROW
+    row = np.where(ok, row, _FALLBACK_ROW + (x == 0) * (1 + np.signbit(x)))
+    bad = row == _FALLBACK_ROW
 
     words = np.empty((x.size, len(_ROW) // 8), dtype=np.uint64)
     words[:, 0] = np.take(lead, lead_digit)
@@ -263,17 +268,29 @@ def _text(column) -> list[str]:
     return column.text() if isinstance(column, FloatColumn) else format_floats(column)
 
 
+def _join_rows(columns, heads, tail) -> str:
+    """Row i is heads[0] columns[0][i] heads[1] columns[1][i] ... tail; the
+    rows joined into one string, filled column by column."""
+    n = len(columns[0])
+    stride = 2 * len(columns) + 1
+    parts = [tail] * (stride * n)
+    for j, (head, column) in enumerate(zip(heads, columns)):
+        parts[2 * j::stride] = [head] * n
+        parts[2 * j + 1::stride] = column
+    return "".join(parts)
+
+
 def _dump_rows(table: FloatTable, pad: str, out: list):
-    """A FloatTable as _dump writes a list of row dicts, one %-fill per row."""
+    """A FloatTable as _dump writes a list of row dicts."""
     columns = [col.json_text() for col in table.columns]
     if not columns or not columns[0]:
         out.append("[]")
         return
-    fields = ",\n".join(f"{pad}    {json.dumps(name).replace('%', '%%')}: %s"
-                        for name in table.names)
-    row = f"{pad}  {{\n{fields}\n{pad}  }}"
+    heads = [f",\n{pad}    {json.dumps(name)}: " for name in table.names]
+    heads[0] = f"{pad}  {{\n{pad}    {json.dumps(table.names[0])}: "
+    rows = _join_rows(columns, heads, f"\n{pad}  }},\n")
     out.append("[\n")
-    out.append(",\n".join(map(row.__mod__, zip(*columns))))
+    out.append(rows[:-2])  # the last row takes no comma
     out.append("\n" + pad + "]")
 
 
@@ -413,4 +430,4 @@ def write_series(path, s, values):
     FloatColumn format it once.
     """
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("".join([f"{a} {b}\n" for a, b in zip(_text(s), _text(values))]))
+        handle.write(_join_rows([_text(s), _text(values)], ("", " "), "\n"))

@@ -332,6 +332,34 @@ class TestFitNormalSamples:
         with pytest.raises(DegenerateFit, match="overflow"):
             fit_normal_samples(s, xi, eta)
 
+    @staticmethod
+    def _decay_plus_noise(noise, count=40):
+        # a decay e^(-r s) under noise on a long grid: the candidate rates of
+        # the noise reach |tau| (s[-1] - s[0]) beyond 709, where e^(tau x)
+        # overflows
+        rng = np.random.default_rng(0)
+        s = np.linspace(0.0, 1000.0, 101)
+        for _ in range(count):
+            rate = rng.uniform(0.3, 3.0)
+            xi = noise * rng.standard_normal(101) + np.exp(-rate * s)
+            eta = noise * rng.standard_normal(101) - np.exp(-rate * s)
+            yield s, xi, eta
+
+    def test_long_grid_skips_overflowing_candidates(self, capfd):
+        for s, xi, eta in self._decay_plus_noise(1e-4):
+            fit = fit_normal_samples(s, xi, eta)
+            assert abs(fit.tau0) * (s[-1] - s[0]) <= 300.0
+            assert np.isfinite([fit.kappa0, fit.c1, fit.c2, fit.c3, fit.c4,
+                                fit.xi_residual, fit.eta_residual]).all()
+        # LAPACK reports illegal arguments on the process's stderr
+        assert capfd.readouterr().err == ""
+
+    def test_long_grid_without_candidates_rejected(self, capfd):
+        s, xi, eta = next(self._decay_plus_noise(1e-9))
+        with pytest.raises(DegenerateFit, match="every candidate tau overflows"):
+            fit_normal_samples(s, xi, eta)
+        assert capfd.readouterr().err == ""
+
     @pytest.mark.parametrize("case", ["nan_xi", "inf_eta", "short_xi", "long_eta", "2d_s",
                                       "unsorted_s"])
     def test_bad_input_rejected_before_linear_algebra(self, case, capfd):

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pgcurves import fileio
 from pgcurves.cli import main
 from pgcurves.fileio import (
     FloatColumn,
     FloatTable,
+    _write_table,
     dumps_json,
     format_float,
     format_floats,
@@ -20,6 +22,7 @@ from pgcurves.fileio import (
     load_curve_csv,
     load_curve_json,
     write_frenet_csv,
+    write_series,
     write_trajectory_csv,
 )
 from pgcurves.frenet import frenet_grid
@@ -113,6 +116,21 @@ class TestFormatFloats:
     def test_hypothesis_floats_match_format(self, values):
         assert format_floats(np.array(values, dtype=float)) == _reference(values)
 
+    def test_zeros_bypass_the_scalar_formatter(self, monkeypatch):
+        calls = []
+
+        def spy(x):
+            calls.append(x)
+            return format_float(x)
+
+        monkeypatch.setattr(fileio, "format_float", spy)
+        zeros = np.where(np.arange(2049) % 3 == 0, -0.0, 0.0)
+        assert format_floats(zeros) == _reference(zeros)
+        assert calls == []
+        zeros[2048] = np.nan
+        assert format_floats(zeros)[2047:] == ["0", "NaN"]
+        assert len(calls) == 1
+
     def test_json_text_nulls_only_non_finite(self):
         corpus = _float_corpus()
         column = FloatColumn(corpus)
@@ -160,12 +178,13 @@ def cosh_sinh_report(tmp_path):
 
 
 class TestFloatTable:
-    names = ("s", "kappa", "odd%key")
+    names = ("s", "kappa", "odd%key", "res")
 
     def _columns(self, n):
         rng = np.random.default_rng(3)
         columns = [np.linspace(0.0, 1.0, n), rng.standard_normal(n),
-                   10.0 ** rng.uniform(-300, 300, n)]
+                   10.0 ** rng.uniform(-300, 300, n),
+                   np.where(np.arange(n) % 3 == 0, -0.0, 0.0)]
         if n:
             columns[1][n // 2] = math.nan
             columns[2][0] = -math.inf
@@ -175,7 +194,8 @@ class TestFloatTable:
         return [{name: float(col[i]) for name, col in zip(self.names, columns)}
                 for i in range(columns[0].size)]
 
-    @pytest.mark.parametrize("n", [0, 1, 9])
+    # 2049 rows cross a block boundary of the formatting kernel
+    @pytest.mark.parametrize("n", [0, 1, 9, 2049])
     def test_rows_match_list_of_dicts(self, n):
         columns = self._columns(n)
         table = FloatTable(self.names, columns)
@@ -183,6 +203,23 @@ class TestFloatTable:
         assert dumps_json(table) == dumps_json(rows)
         assert (dumps_json({"schema": 1, "rows": table})
                 == dumps_json({"schema": 1, "rows": rows}))
+
+    @pytest.mark.parametrize("n", [0, 1, 2049])
+    def test_csv_matches_line_by_line(self, n, tmp_path):
+        columns = self._columns(n)
+        path = tmp_path / "table.csv"
+        _write_table(path, FloatTable(self.names, columns))
+        lines = [",".join(self.names)]
+        lines += [",".join(format_float(col[i]) for col in columns) for i in range(n)]
+        assert path.read_text() == "".join(line + "\n" for line in lines)
+
+    @pytest.mark.parametrize("n", [0, 1, 2049])
+    def test_series_matches_line_by_line(self, n, tmp_path):
+        s, _, values, _ = self._columns(n)
+        path = tmp_path / "series.dat"
+        write_series(path, FloatColumn(s), values)
+        assert path.read_text() == "".join(f"{format_float(a)} {format_float(b)}\n"
+                                           for a, b in zip(s, values))
 
     def test_csv_and_json_share_strings(self, cosh_sinh_report):
         json_rows = json.loads((cosh_sinh_report / "report.json").read_text(),
