@@ -5,9 +5,17 @@ quantity (determinant torsion vs component torsion, closed forms vs the
 differential system they solve, synthesis vs re-analysis, jets vs finite
 differences) and reports the worst observed residual next to its tolerance.
 The suite is deterministic for a fixed seed.
+
+``run_all`` runs the rectifying round trips, its most expensive check, in a
+forked child while the parent runs the other checks.  The child's generator
+is the parent's, advanced past the other checks' draws by replaying them
+through the same ``_draw_*`` helpers, so the report is byte-identical to an
+in-order run on one generator.
 """
 
 import math
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,24 +162,32 @@ def check_frenet_consistency(points: int = 1000, tol: float = 1e-9) -> CheckResu
                        "max frame-equation residual over the DSL corpus")
 
 
-def check_torsion_equivalence(rng, pairs: int = 10_000, tol: float = 1e-12) -> CheckResult:
-    """Component torsion against determinant torsion at random points."""
-    curves = corpus_curves()
-    per_curve = pairs // len(curves) + 1
-    worst = 0.0
+def _draw_torsion_points(rng, pairs: int) -> list[np.ndarray]:
+    """pairs random parameters in all, spread over the corpus curves in order."""
+    per_curve = pairs // len(CURVE_CORPUS) + 1
+    points = []
     count = 0
-    for _, curve in curves:
+    for _, _, _, lo, hi in CURVE_CORPUS:
         if count >= pairs:
             break
         n = min(per_curve, pairs - count)
-        s = rng.uniform(curve.s_min, curve.s_max, size=n)
+        points.append(rng.uniform(lo, hi, size=n))
+        count += n
+    return points
+
+
+def check_torsion_equivalence(rng, pairs: int = 10_000, tol: float = 1e-12) -> CheckResult:
+    """Component torsion against determinant torsion at random points."""
+    worst = 0.0
+    count = 0
+    for (_, curve), s in zip(corpus_curves(), _draw_torsion_points(rng, pairs)):
         tau_frame = frenet_grid(curve, s).tau
         tau_det = torsion_det(curve, s)
         denom = np.maximum(np.abs(tau_frame), np.abs(tau_det))
         diff = np.abs(tau_frame - tau_det)
         rel = np.where(denom > 0, diff / np.where(denom > 0, denom, 1.0), diff)
         worst = max(worst, float(np.max(rel)))
-        count += n
+        count += len(s)
     return CheckResult("torsion_equivalence", worst <= tol, worst, tol, count,
                        "relative gap between the two torsion formulas")
 
@@ -376,7 +392,8 @@ def run_all(seed: int = 0, overrides: dict[str, float] | None = None) -> dict:
     """Run the whole suite and return a report dictionary.
 
     overrides maps check names to replacement tolerances, each finite and
-    positive.
+    positive.  check_rectifying_suite runs in a forked child, which is
+    reaped before this returns or raises; its exception is re-raised here.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if overrides:
@@ -389,20 +406,41 @@ def run_all(seed: int = 0, overrides: dict[str, float] | None = None) -> dict:
         tol.update(overrides)
 
     rng = np.random.default_rng(seed)
-    checks: list[CheckResult] = [
-        check_frenet_consistency(points=1000, tol=tol["frenet_consistency"]),
-        check_torsion_equivalence(rng, tol=tol["torsion_equivalence"]),
-        check_normal_ode_closed_forms(rng, tol=tol["normal_ode_closed_forms"]),
-        check_normal_fit_roundtrip(rng, tol=tol["normal_fit_roundtrip"]),
-    ]
-    checks.extend(check_rectifying_suite(
-        rng, tol_beta=tol["rectifying_beta"], tol_params=tol["rectifying_params"],
-        tol_slope=tol["rectifying_slope"], tol_conservation=tol["conservation"],
-        tol_properties=tol["rectifying_properties"]))
-    checks.append(check_integrator_order())
-    checks.append(check_frame_constants(tol=tol["frame_constants"]))
-    checks.append(check_parser_corpus())
-    checks.append(check_jet_finite_difference(tol=tol["jet_finite_difference"]))
+    pairs, closed_form_draws, fit_draws = 10_000, 100, 50
+
+    def rectifying_suite():
+        # the child's rng is a copy of the parent's at the fork: replay the
+        # draws of the checks that precede this one in the report
+        _draw_torsion_points(rng, pairs)
+        for _ in range(closed_form_draws + fit_draws):
+            _draw_family(rng)
+        return check_rectifying_suite(
+            rng, tol_beta=tol["rectifying_beta"], tol_params=tol["rectifying_params"],
+            tol_slope=tol["rectifying_slope"], tol_conservation=tol["conservation"],
+            tol_properties=tol["rectifying_properties"])
+
+    pid, pipe = _fork_call(rectifying_suite)
+    try:
+        with pipe:
+            head = [
+                check_frenet_consistency(points=1000, tol=tol["frenet_consistency"]),
+                check_torsion_equivalence(rng, pairs=pairs,
+                                          tol=tol["torsion_equivalence"]),
+                check_normal_ode_closed_forms(rng, draws=closed_form_draws,
+                                              tol=tol["normal_ode_closed_forms"]),
+                check_normal_fit_roundtrip(rng, draws=fit_draws,
+                                           tol=tol["normal_fit_roundtrip"]),
+            ]
+            tail = [
+                check_integrator_order(),
+                check_frame_constants(tol=tol["frame_constants"]),
+                check_parser_corpus(),
+                check_jet_finite_difference(tol=tol["jet_finite_difference"]),
+            ]
+            payload = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    checks = head + _child_result(payload, status) + tail
 
     return {
         "schema": 1,
@@ -410,3 +448,52 @@ def run_all(seed: int = 0, overrides: dict[str, float] | None = None) -> dict:
         "passed": all(c.passed for c in checks),
         "checks": [c.as_dict() for c in checks],
     }
+
+
+class _ChildTraceback(Exception):
+    """The formatted traceback of an exception raised in a forked child; the
+    re-raised exception's __cause__, so an uncaught one shows where it arose."""
+
+
+def _fork_call(fn):
+    """Call fn() in a forked child; return its pid and the pipe it replies on.
+
+    The child pickles (True, result) or (False, (exception, traceback text))
+    onto the pipe and ends with os._exit, so it never returns into the
+    caller, runs no exit handler and flushes none of the parent's stdio
+    buffers.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    try:
+        os.close(read_fd)
+        try:
+            reply = (True, fn())
+        except BaseException as exc:  # every exception goes to the parent
+            import traceback
+            reply = (False, (exc, "".join(traceback.format_exception(exc))))
+        try:
+            payload = pickle.dumps(reply)
+            pickle.loads(payload)  # an exception whose __init__ differs fails here
+        except Exception as err:
+            error = ChildProcessError(f"unpicklable result from the forked child: {err}")
+            payload = pickle.dumps((False, (error, "")))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _child_result(payload: bytes, status: int):
+    """The result _fork_call's child sent, or its exception re-raised."""
+    if not payload:
+        raise ChildProcessError(
+            f"the forked child sent no result (wait status {status})")
+    ok, value = pickle.loads(payload)
+    if ok:
+        return value
+    exc, text = value
+    raise exc from _ChildTraceback(text)

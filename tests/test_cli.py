@@ -328,13 +328,15 @@ class TestVerify:
         assert len(payload["checks"]) == 13
 
     def test_impossible_tolerance_exit_3(self, tmp_path):
-        out = tmp_path / "verify.json"
-        code = main(["verify", "--output", str(out),
-                     "--tol", "frenet_consistency=1e-30"])
-        assert code == 3
-        payload = json.loads(out.read_text())
-        failed = [c for c in payload["checks"] if not c["passed"]]
-        assert [c["name"] for c in failed] == ["frenet_consistency"]
+        # rectifying_slope is decided in run_all's forked child
+        for name, value in (("frenet_consistency", "1e-30"),
+                            ("rectifying_slope", "1e-12")):
+            out = tmp_path / f"{name}.json"
+            code = main(["verify", "--output", str(out), "--tol", f"{name}={value}"])
+            assert code == 3
+            payload = json.loads(out.read_text())
+            failed = [c for c in payload["checks"] if not c["passed"]]
+            assert [c["name"] for c in failed] == [name]
 
     def test_unknown_tolerance_exit_1(self, tmp_path):
         code = main(["verify", "--output", str(tmp_path / "v.json"),
