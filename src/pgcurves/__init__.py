@@ -21,7 +21,6 @@ from .dsl import (
 from .frenet import (
     AdmissibilityReport,
     CurveDef,
-    FrenetData,
     FrenetGrid,
     NotAdmissible,
     check_admissible,
@@ -30,15 +29,12 @@ from .frenet import (
     frame_at,
     frenet_grid,
     frenet_residuals,
-    reparametrize_graph,
     torsion_det,
 )
 from .classify import (
     DegenerateFit,
-    FrameComponents,
     NonConstantInvariants,
     NormalFit,
-    RectifyingPropertyReport,
     RectifyingVerdict,
     SingularFrame,
     ZeroTorsion,
@@ -56,7 +52,6 @@ from .synth import (
     FrenetState,
     FrenetTrajectory,
     InvalidProfile,
-    InvariantProfile,
     canonical_state,
     integrate_frenet,
     rectifying_drift,

@@ -298,9 +298,8 @@ def normal_component_exprs(kappa: float, tau: float,
 def normal_ode_residuals(xi, eta, kappa: float, tau: float, grid) -> tuple[float, float]:
     """Max residuals of the normal-component system on the grid.
 
-    xi and eta are jet-evaluable (an Expr, or anything else with .jet3).
-    Returns the max over the grid of |xi'' + 2 tau eta' + tau^2 xi - kappa|
-    and |eta'' + 2 tau xi' + tau^2 eta|.
+    xi and eta are Exprs.  Returns the max over the grid of
+    |xi'' + 2 tau eta' + tau^2 xi - kappa| and |eta'' + 2 tau xi' + tau^2 eta|.
     """
     s = np.asarray(grid, dtype=float)
     xj = xi.jet3(s)

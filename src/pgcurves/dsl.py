@@ -43,19 +43,25 @@ FUNCTION_NAMES = frozenset(JET_FUNCTIONS)
 
 
 class LexError(ValueError):
-    """Unrecognized or malformed input text; carries the byte offset."""
+    """Unrecognized or malformed input text; args holds the message and byte offset."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+        super().__init__(message, offset)
         self.offset = offset
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (byte offset {self.offset})"
 
 
 class ParseError(ValueError):
-    """Token stream violates the grammar; carries the token index."""
+    """Token stream violates the grammar; args holds the message and token index."""
 
     def __init__(self, message: str, index: int):
-        super().__init__(f"{message} (token {index})")
+        super().__init__(message, index)
         self.index = index
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (token {self.index})"
 
 
 class Expr:
@@ -63,9 +69,6 @@ class Expr:
 
     def jet3(self, s) -> Jet3:
         return eval_jet3(self, s)
-
-    def __str__(self) -> str:
-        return to_source(self)
 
 
 @dataclass(frozen=True)

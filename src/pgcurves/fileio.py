@@ -379,7 +379,10 @@ def load_curve_csv(path) -> CurveDef:
             raise ValueError(f"{path}: expected columns s,x,y,z, got {names[:4]}")
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(handle, delimiter=",", ndmin=2)
+            try:
+                data = np.loadtxt(handle, delimiter=",", ndmin=2)
+            except ValueError as err:
+                raise ValueError(f"{path}: {err}") from err
     if data.size == 0:
         raise ValueError(f"{path}: the file has no samples")
     if data.shape[1] != len(names):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spline
-from .dsl import Expr, as_expr, eval_jet3
+from .dsl import Expr, as_expr
 from .jets import Jet3, jet_sqrt
 from .space import PGVector3, plane_det, plane_product
 
@@ -42,7 +42,7 @@ __all__ = [
     "DEFAULT_TOL_ADM", "NotAdmissible", "SampledComponents", "CurveDef",
     "curve_from_exprs", "curve_from_samples", "FrenetData", "FrenetGrid",
     "AdmissibilityReport", "check_admissible", "frenet_grid", "frame_at",
-    "torsion_det", "frenet_residuals", "reparametrize_graph",
+    "torsion_det", "frenet_residuals",
 ]
 
 
@@ -149,8 +149,7 @@ def curve_from_samples(s, y, z, x=None) -> CurveDef:
         offsets = x - s
         x_offset = float(np.mean(offsets))
         if np.max(np.abs(offsets - x_offset)) > _TOL_X:
-            raise ValueError("x must equal the parameter plus a constant; "
-                             "reparametrize the curve first")
+            raise ValueError("x must equal s plus a constant: curves are in graph form")
     return CurveDef(None, None, float(s[0]), float(s[-1]), int(s.size), x_offset,
                     SampledComponents(s, y, z))
 
@@ -352,68 +351,3 @@ def check_admissible(grid: FrenetGrid) -> AdmissibilityReport:
     admissible = not violations and len(segments) == 1
     return AdmissibilityReport(admissible=admissible, tol=grid.tol_adm,
                                violations=violations, segments=segments)
-
-
-def reparametrize_graph(x, y, z, t_range, samples: int = 1001,
-                        param: str = "t", tol: float = 1e-12) -> CurveDef:
-    """Re-express a curve (x(t), y(t), z(t)) in graph form with x as parameter.
-
-    x must be strictly monotone with derivative bounded away from zero on
-    t_range; the monotone map t -> x(t) is inverted per grid point by
-    safeguarded Newton iteration with a bisection fallback.  The result is a
-    sampled-path curve over s = x.
-    """
-    x_e, y_e, z_e = (as_expr(src, param) for src in (x, y, z))
-    t0, t1 = float(t_range[0]), float(t_range[1])
-    if not t0 < t1:
-        raise ValueError("require t_range[0] < t_range[1]")
-
-    t_fine = np.linspace(t0, t1, 4 * samples + 1)
-    xdot = eval_jet3(x_e, t_fine).d1
-    if np.any(xdot == 0.0) or np.any(np.sign(xdot) != np.sign(xdot[0])):
-        raise NotAdmissible("dx/dt vanishes or changes sign on the range")
-    if np.min(np.abs(xdot)) < 1e-9:
-        raise NotAdmissible("dx/dt too close to zero for a stable inversion")
-
-    x_lo = float(eval_jet3(x_e, np.array([t0])).v[0])
-    x_hi = float(eval_jet3(x_e, np.array([t1])).v[0])
-    increasing = x_hi > x_lo
-    s_min, s_max = (x_lo, x_hi) if increasing else (x_hi, x_lo)
-
-    s_grid = np.linspace(s_min, s_max, samples)
-    t_sol = np.empty_like(s_grid)
-    t_guess = t0 if increasing else t1
-    for i, target in enumerate(s_grid):
-        t_sol[i] = _invert_monotone(x_e, target, t0, t1, t_guess, increasing, tol)
-        t_guess = t_sol[i]
-
-    y_vals = eval_jet3(y_e, t_sol).v
-    z_vals = eval_jet3(z_e, t_sol).v
-    return curve_from_samples(s_grid, _broadcast(y_vals, s_grid.shape),
-                              _broadcast(z_vals, s_grid.shape))
-
-
-def _invert_monotone(x_e, target, t_lo, t_hi, guess, increasing, tol):
-    lo, hi = t_lo, t_hi
-    t = min(max(guess, lo), hi)
-    for _ in range(100):
-        jet = x_e.jet3(t)
-        f = jet.v - target
-        if abs(f) <= tol * max(1.0, abs(target)):
-            return t
-        if (f > 0) == increasing:
-            hi = t
-        else:
-            lo = t
-        step_ok = jet.d1 != 0.0
-        if step_ok:
-            t_new = t - f / jet.d1
-            if not (lo < t_new < hi):
-                t_new = 0.5 * (lo + hi)
-        else:
-            t_new = 0.5 * (lo + hi)
-        t = t_new
-    jet = x_e.jet3(t)
-    if abs(jet.v - target) > 1e-9 * max(1.0, abs(target)):
-        raise NotAdmissible(f"could not invert x(t) at x={target!r}")
-    return t

@@ -102,6 +102,18 @@ class TestAnalyze:
         assert "the file has no samples" in capsys.readouterr().err
         assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0,1,0,7\n1,1,2,0,9\n", "row width does not match the header"),
+        ("0,0,1,0\n1,1,2,0,9\n2,2,5,0\n", "the number of columns changed from 4 to 5"),
+    ], ids=["every-row-wide", "one-row-long"])
+    def test_csv_row_width_exit_1(self, tmp_path, capsys, rows, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("s,x,y,z\n" + rows)
+        code = main(["analyze", "--input", str(bad),
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert f"pgcurves: input error: {bad}: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("y, node", [("s^log(0-1)", "log(0.0 - 1.0)"),
                                          ("s^((0-8)^(1/3))", "(0.0 - 8.0)^(1.0/3.0)")])
     def test_constant_exponent_outside_domain_exit_1(self, tmp_path, capsys, y, node):

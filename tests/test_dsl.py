@@ -197,6 +197,10 @@ class TestEvalJet:
         jet = eval_jet3(parse_expr("sinh(s)"), s)
         np.testing.assert_allclose(jet.v, np.sinh(s), rtol=1e-15)
         np.testing.assert_allclose(jet.d2, np.sinh(s), rtol=1e-15)
+        # abs of a constant, zero or not, has zero derivatives
+        for source, d1 in [("s + abs(1-1)", 1.0), ("abs(0-2)*s", 2.0)]:
+            jet = eval_jet3(parse_expr(source), s)
+            np.testing.assert_array_equal(jet.d1, np.full_like(s, d1))
 
 
 # Recursive expression strategy.  Neg never wraps a literal (the parser folds

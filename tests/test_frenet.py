@@ -1,7 +1,6 @@
 """Frenet apparatus tests: admissibility, frames, torsion oracle, residuals."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from pgcurves.frenet import (
     frame_at,
     frenet_grid,
     frenet_residuals,
-    reparametrize_graph,
     torsion_det,
 )
 from pgcurves.space import PGVector3, det3, pg_inner
@@ -88,6 +86,11 @@ class TestAdmissibility:
 
     def test_line_rejected_everywhere(self):
         report = _admissibility(curve_from_exprs("s", "0", 0.0, 1.0, samples=11))
+        assert not report.admissible
+        assert len(report.violations) == 11
+        # the spline through a sampled line has y'' = z'' = 0 up to rounding
+        s = np.linspace(0.0, 1.0, 11)
+        report = _admissibility(curve_from_samples(s, s / 2, np.zeros_like(s)))
         assert not report.admissible
         assert len(report.violations) == 11
 
@@ -270,35 +273,3 @@ class TestNonStrictGrid:
         assert np.all(np.isnan(g.kappa[~g.ok]))
         assert np.all(np.isfinite(g.kappa[g.ok]))
 
-
-class TestReparametrize:
-    def test_identity_graph_form(self):
-        c = reparametrize_graph("t", "cosh(t)", "sinh(t)", (0.0, 2.0))
-        assert c.s_min == pytest.approx(0.0) and c.s_max == pytest.approx(2.0)
-        f_exact = frame_at(COSH_SINH, 1.0)
-        f_sampled = frame_at(c, 1.0)
-        assert f_sampled.kappa == pytest.approx(f_exact.kappa, abs=1e-6)
-        assert f_sampled.tau == pytest.approx(f_exact.tau, abs=1e-6)
-        assert f_sampled.n.y == pytest.approx(f_exact.n.y, abs=1e-6)
-
-    def test_linear_stretch(self):
-        c = reparametrize_graph("2*t", "t", "0", (0.0, 1.0))
-        # y(s) = s / 2 once x becomes the parameter
-        x, y, z = c.position(1.3)
-        assert x == pytest.approx(1.3, abs=1e-12)
-        assert y == pytest.approx(0.65, abs=1e-9)
-        assert z == pytest.approx(0.0, abs=1e-12)
-        # and the result fails the second-derivative admissibility condition
-        assert not _admissibility(c, tol_adm=1e-8).admissible
-
-    def test_stationary_point_rejected(self):
-        with pytest.raises(NotAdmissible):
-            reparametrize_graph("t^3", "t", "0", (-1.0, 1.0))
-
-    def test_decreasing_x(self):
-        c = reparametrize_graph("-t", "cosh(t)", "sinh(t)", (0.0, 1.0))
-        assert c.s_min == pytest.approx(-1.0) and c.s_max == pytest.approx(0.0)
-        # at s = -0.5 the original parameter is t = 0.5
-        _, y, z = c.position(-0.5)
-        assert y == pytest.approx(math.cosh(0.5), abs=1e-9)
-        assert z == pytest.approx(math.sinh(0.5), abs=1e-9)

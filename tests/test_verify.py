@@ -7,7 +7,7 @@ import pytest
 
 from pgcurves import verify
 from pgcurves.cli import main
-from pgcurves.dsl import DomainError, LexError
+from pgcurves.dsl import DomainError, LexError, ParseError
 from pgcurves.fileio import dumps_json
 from pgcurves.verify import (
     DEFAULT_TOLERANCES,
@@ -98,15 +98,26 @@ def test_child_without_result(monkeypatch):
     _assert_no_child_left()
 
 
-def _raise_lex_error(*args, **kwargs):
-    raise LexError("bad number", 3)  # pickles, but does not unpickle
-
-
-@pytest.mark.parametrize("suite", [lambda *args, **kwargs: [lambda: None],
-                                   _raise_lex_error],
-                         ids=["lambda", "lex-error"])
+@pytest.mark.parametrize("suite", [lambda *args, **kwargs: [lambda: None]],
+                         ids=["lambda"])
 def test_unpicklable_result(monkeypatch, suite):
     monkeypatch.setattr(verify, "check_rectifying_suite", suite)
     with pytest.raises(ChildProcessError, match="unpicklable result"):
         run_all(0)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("error, where", [(LexError("bad number", 3), "offset"),
+                                          (ParseError("unexpected end of input", 2),
+                                           "index")],
+                         ids=["lex-error", "parse-error"])
+def test_child_dsl_error_reraised(monkeypatch, error, where):
+    def failing_suite(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(verify, "check_rectifying_suite", failing_suite)
+    with pytest.raises(type(error)) as info:
+        run_all(0)
+    assert str(info.value) == str(error)
+    assert getattr(info.value, where) == getattr(error, where)
     _assert_no_child_left()
