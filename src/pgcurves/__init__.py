@@ -2,9 +2,9 @@
 
 The package computes the moving frame, curvature and torsion of admissible
 curves under the degenerate pseudo-Galilean metric, decides whether a curve
-is rectifying (or fits the constant-invariant normal-component profile), and
+is rectifying, fits the constant-invariant normal-component profile, and
 synthesizes curves from prescribed curvature and torsion by integrating the
-frame equations.
+frame equations from the canonical start frame.
 """
 
 from .space import ORIGIN, CausalCharacter, PGVector3, causal_character, det3, pg_inner
@@ -48,11 +48,8 @@ from .classify import (
     normal_ode_residuals,
 )
 from .synth import (
-    BadInitialFrame,
-    FrenetState,
     FrenetTrajectory,
     InvalidProfile,
-    canonical_state,
     integrate_frenet,
     rectifying_drift,
     synth_normal_components,

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import spline
 from .dsl import BinOp, Call, Const, Expr, Neg, Var
-from .frenet import DEFAULT_TOL_ADM, CurveDef, FrenetGrid, NotAdmissible, frenet_grid
+from .frenet import CurveDef, FrenetGrid, NotAdmissible, frenet_grid
 from .space import ORIGIN, PGVector3, plane_det, plane_product
 
 __all__ = [
@@ -52,6 +52,9 @@ __all__ = [
 
 DEFAULT_TOL_EXACT = 1e-6
 DEFAULT_TOL_SAMPLED = 1e-4
+# relative spread of kappa and tau over the grid that fit_normal_components
+# still takes as constant
+_TOL_CONSTANT = 1e-6
 
 # Blind fit: the |tau| window a candidate rate must lie in to get a joint
 # fit, and the tau taken when no candidate is in range.
@@ -112,10 +115,9 @@ def frame_components_arrays(grid: FrenetGrid, p0: PGVector3) -> FrameDecompositi
     return FrameDecomposition(grid, alpha, beta, gamma)
 
 
-def frame_components(curve: CurveDef, s: float, p0: PGVector3 = ORIGIN,
-                     tol_adm: float = DEFAULT_TOL_ADM) -> FrameComponents:
+def frame_components(curve: CurveDef, s: float, p0: PGVector3 = ORIGIN) -> FrameComponents:
     """Decompose r(s) - p0 in the Frenet basis at one parameter value."""
-    grid = frenet_grid(curve, np.array([float(s)]), tol_adm=tol_adm, strict=True)
+    grid = frenet_grid(curve, np.array([float(s)]), strict=True)
     dec = frame_components_arrays(grid, p0)
     return FrameComponents(float(dec.alpha[0]), float(dec.beta[0]), float(dec.gamma[0]))
 
@@ -324,11 +326,10 @@ def _family_columns(x, tau):
     return a
 
 
-def fit_normal_components(dec: FrameDecomposition,
-                          tol_constancy: float = 1e-6) -> NormalFit:
+def fit_normal_components(dec: FrameDecomposition) -> NormalFit:
     """Fit the measured (beta, gamma) components of a constant-invariant curve.
 
-    Requires kappa and tau constant over the grid to tol_constancy relative;
+    Requires kappa and tau constant over the grid to _TOL_CONSTANT relative;
     raises NonConstantInvariants otherwise and ZeroTorsion for vanishing
     torsion.  The invariants are measured from the grid, then (c1..c4) are
     fitted jointly by linear least squares.
@@ -338,9 +339,9 @@ def fit_normal_components(dec: FrameDecomposition,
         raise DegenerateFit("classification needs a grid of at least 8 points")
     kappa = float(np.mean(grid.kappa))
     tau = float(np.mean(grid.tau))
-    if np.max(np.abs(grid.kappa - kappa)) > tol_constancy * abs(kappa):
+    if np.max(np.abs(grid.kappa - kappa)) > _TOL_CONSTANT * abs(kappa):
         raise NonConstantInvariants("curvature is not constant over the grid")
-    if np.max(np.abs(grid.tau - tau)) > tol_constancy * max(abs(tau), 1e-30):
+    if np.max(np.abs(grid.tau - tau)) > _TOL_CONSTANT * max(abs(tau), 1e-30):
         raise NonConstantInvariants("torsion is not constant over the grid")
     if abs(tau) < 1e-9:
         raise ZeroTorsion("component family is singular at tau = 0")

@@ -42,7 +42,7 @@ from .frenet import (
     frenet_grid,
 )
 from .space import PGVector3
-from .synth import BadInitialFrame, InvalidProfile, profile as make_profile
+from .synth import InvalidProfile, profile as make_profile
 from .synth import integrate_frenet, synth_rectifying
 
 EXIT_OK = 0
@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     add_common(p)
 
-    p = command("classify", cmd_classify, "rectifying / normal-fit verdict")
+    p = command("classify", cmd_classify,
+                "rectifying / neither verdict, with the constant-invariant fit")
     p.add_argument("--input", required=True, type=Path)
     p.add_argument("--output", required=True, type=Path)
     p.add_argument("--tol-classify", type=float, default=None,
@@ -211,16 +212,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     except (NonConstantInvariants, ZeroTorsion) as err:
         normal_fit_error = str(err)
 
-    if verdict.is_rectifying:
-        overall = "rectifying"
-    elif normal_fit is not None and max(normal_fit.xi_residual,
-                                        normal_fit.eta_residual) <= verdict.tol:
-        overall = "normal-fit"
-    else:
-        overall = "neither"
-
     payload.update({
-        "verdict": overall,
+        "verdict": "rectifying" if verdict.is_rectifying else "neither",
         "parameters": {
             "m1": verdict.m1,
             "n1": verdict.n1,
@@ -302,7 +295,7 @@ def main(argv=None) -> int:
         if getattr(args, "samples", None) is not None and args.samples < 2:
             raise ValueError("samples must be at least 2")
         return args.handler(args)
-    except (NotAdmissible, InvalidProfile, BadInitialFrame) as err:
+    except (NotAdmissible, InvalidProfile) as err:
         print(f"pgcurves: admissibility error: {err}", file=sys.stderr)
         return EXIT_ADMISSIBILITY
     except (LexError, ParseError, DomainError, DegenerateFit, ValueError,

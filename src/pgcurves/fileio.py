@@ -371,6 +371,18 @@ def load_curve_json(path) -> CurveDef:
                             s_min, s_max, samples=samples)
 
 
+def _row_width_error(handle, width: int) -> str | None:
+    """Where the first data row of an open CSV differs in width from its header."""
+    handle.seek(0)
+    next(handle)
+    for number, line in enumerate(handle, 2):
+        text = line.split("#", 1)[0]
+        if text.strip() and (fields := text.count(",") + 1) != width:
+            return (f"row width does not match the header at line {number} "
+                    f"({fields} fields, header has {width})")
+    return None
+
+
 def load_curve_csv(path) -> CurveDef:
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().strip()
@@ -382,7 +394,7 @@ def load_curve_csv(path) -> CurveDef:
             try:
                 data = np.loadtxt(handle, delimiter=",", ndmin=2)
             except ValueError as err:
-                raise ValueError(f"{path}: {err}") from err
+                raise ValueError(f"{path}: {_row_width_error(handle, len(names)) or err}") from err
     if data.size == 0:
         raise ValueError(f"{path}: the file has no samples")
     if data.shape[1] != len(names):

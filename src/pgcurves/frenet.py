@@ -129,11 +129,9 @@ class CurveDef:
         return x, float(yj.v), float(zj.v)
 
 
-def curve_from_exprs(y, z, s_min: float, s_max: float, samples: int = 1001,
-                     param: str = "s", x_offset: float = 0.0) -> CurveDef:
-    """Build an exact-path curve from expression sources (strings or Expr)."""
-    return CurveDef(as_expr(y, param), as_expr(z, param),
-                    float(s_min), float(s_max), samples, x_offset)
+def curve_from_exprs(y, z, s_min: float, s_max: float, samples: int = 1001) -> CurveDef:
+    """Build an exact-path curve from expression sources (strings or Expr) in s."""
+    return CurveDef(as_expr(y), as_expr(z), float(s_min), float(s_max), samples)
 
 
 def curve_from_samples(s, y, z, x=None) -> CurveDef:
@@ -298,13 +296,13 @@ def frenet_grid(curve: CurveDef, s=None, tol_adm: float = DEFAULT_TOL_ADM,
     )
 
 
-def frame_at(curve: CurveDef, s: float, tol_adm: float = DEFAULT_TOL_ADM) -> FrenetData:
+def frame_at(curve: CurveDef, s: float) -> FrenetData:
     """Frenet frame, orientation sign, curvature and torsion at one point."""
-    grid = frenet_grid(curve, np.array([float(s)]), tol_adm=tol_adm, strict=True)
+    grid = frenet_grid(curve, np.array([float(s)]), strict=True)
     return grid.frame(0)
 
 
-def torsion_det(curve: CurveDef, s, tol_adm: float = DEFAULT_TOL_ADM):
+def torsion_det(curve: CurveDef, s):
     """Torsion computed from det(r', r'', r''') / kappa^2.
 
     Algebraically identical to the torsion of frame_at but evaluated through
@@ -313,7 +311,7 @@ def torsion_det(curve: CurveDef, s, tol_adm: float = DEFAULT_TOL_ADM):
     """
     yj, zj = curve.jets(np.atleast_1d(np.asarray(s, dtype=float)))
     d = plane_product(yj.d2, zj.d2, yj.d2, zj.d2)
-    if np.any(np.abs(d) < tol_adm):
+    if np.any(np.abs(d) < DEFAULT_TOL_ADM):
         raise NotAdmissible("curve not admissible at requested point(s)")
     kappa = np.sqrt(np.abs(d))
     # Cofactor expansion of det(r', r'', r''') along the first column;
@@ -322,11 +320,10 @@ def torsion_det(curve: CurveDef, s, tol_adm: float = DEFAULT_TOL_ADM):
     return float(tau[0]) if np.ndim(s) == 0 else tau
 
 
-def frenet_residuals(curve: CurveDef, s, tol_adm: float = DEFAULT_TOL_ADM):
+def frenet_residuals(curve: CurveDef, s):
     """Euclidean norms of t' - kappa n, n' - tau b, b' - tau n at s."""
     scalar = np.ndim(s) == 0
-    grid = frenet_grid(curve, np.atleast_1d(np.asarray(s, dtype=float)),
-                       tol_adm=tol_adm, strict=True)
+    grid = frenet_grid(curve, np.atleast_1d(np.asarray(s, dtype=float)), strict=True)
     if scalar:
         return float(grid.res_t[0]), float(grid.res_n[0]), float(grid.res_b[0])
     return grid.res_t, grid.res_n, grid.res_b

@@ -4,23 +4,25 @@ The frame equations
 
     r' = t,   t' = kappa n,   n' = tau b,   b' = tau n
 
-leave the x components fixed (t_x = 1, n_x = b_x = 0, r_x = r_x(s_0) + s - s_0)
-and turn (n, b) into a hyperbolic rotation of the isotropic plane by
-theta(s) = integral of tau:
+fix a curve once its start frame is fixed, and synthesis always starts from
+the canonical frame t = (1, 0, 0), n = (0, 1, 0), b = (0, 0, 1); only the
+start position r_0 varies.  The x components stay fixed (t_x = 1,
+n_x = b_x = 0, r_x = r_x(s_0) + s - s_0) and (n, b) turns by a hyperbolic
+rotation of the isotropic plane through theta(s) = integral of tau:
 
-    n = n_0 cosh theta + b_0 sinh theta,   b = b_0 cosh theta + n_0 sinh theta.
+    n = (cosh theta, sinh theta),   b = (sinh theta, cosh theta).
 
 Synthesis therefore needs three quadratures, not a general ODE solve:
-theta from tau, then t = t_0 + integral of kappa n, then r = r_0 + integral
-of t.  The profiles are evaluated once, vectorized, on the whole nodes and
-the half nodes of an equal-step grid; each quadrature is cumulative Simpson
-on the whole nodes plus the matching parabola rule on the half nodes, so the
-scheme is fourth order in the step.
+theta from tau, then t = integral of kappa n, then r = r_0 + integral of t.
+The profiles are evaluated once, vectorized, on the whole nodes and the half
+nodes of an equal-step grid; each quadrature is cumulative Simpson on the
+whole nodes plus the matching parabola rule on the half nodes, so the scheme
+is fourth order in the step.
 
 The quantities n_y^2 - n_z^2, b_y^2 - b_z^2, n_y b_y - n_z b_z and the frame
-determinant n_y b_z - n_z b_y are constants of motion of the exact flow for
-any frame-compatible start.  The closed-form rotation keeps them to rounding
-by construction, whatever the step.
+determinant n_y b_z - n_z b_y are constants of motion of the exact flow.
+The closed-form rotation keeps them to rounding by construction, whatever
+the step.
 
 For a rectifying curve with parameters (m1, n1) the torsion profile is
 forced to tau(s) = -(s + m1) kappa(s) / n1 and the start position is placed
@@ -34,27 +36,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classify import normal_component_exprs
-from .dsl import BinOp, Const, Expr, Neg, Var, as_expr
+from .dsl import BinOp, Const, DomainError, Expr, Neg, Var, as_expr
 from .frenet import CurveDef, FrenetGrid, curve_from_samples
-from .space import PGVector3, plane_det, plane_product
+from .space import ORIGIN, PGVector3, plane_det, plane_product
 
 __all__ = [
-    "InvalidProfile", "BadInitialFrame", "InvariantProfile", "FrenetState",
-    "FrenetTrajectory", "canonical_state", "integrate_frenet",
+    "InvalidProfile", "InvariantProfile", "FrenetTrajectory", "integrate_frenet",
     "synth_rectifying", "synth_normal_components", "NormalComponentSamples",
     "rectifying_drift",
 ]
 
-_FRAME_TOL = 1e-12
 _KNOT_SPACING = 4e-3
 
 
 class InvalidProfile(Exception):
     """The prescribed curvature profile is not positive on the range."""
-
-
-class BadInitialFrame(Exception):
-    """The initial frame violates the frame invariants."""
 
 
 @dataclass(frozen=True)
@@ -74,43 +70,6 @@ class InvariantProfile:
 def profile(kappa, tau, s_min: float, s_max: float) -> InvariantProfile:
     """Build a profile from expression sources (strings, numbers or Expr)."""
     return InvariantProfile(as_expr(kappa), as_expr(tau), float(s_min), float(s_max))
-
-
-@dataclass(frozen=True)
-class FrenetState:
-    """Integration state: position and frame at one parameter value."""
-
-    s: float
-    r: PGVector3
-    t: PGVector3
-    n: PGVector3
-    b: PGVector3
-
-
-def canonical_state(s: float = 0.0, r: PGVector3 = PGVector3(0.0, 0.0, 0.0)) -> FrenetState:
-    """Frame t=(1,0,0), n=(0,1,0), b=(0,0,1); satisfies all invariants exactly."""
-    return FrenetState(s=float(s), r=r,
-                       t=PGVector3(1.0, 0.0, 0.0),
-                       n=PGVector3(0.0, 1.0, 0.0),
-                       b=PGVector3(0.0, 0.0, 1.0))
-
-
-def _validate_state(state: FrenetState):
-    if state.t.x != 1.0:
-        raise BadInitialFrame("tangent must have x component exactly 1")
-    if state.n.x != 0.0 or state.b.x != 0.0:
-        raise BadInitialFrame("n and b must be isotropic (x component 0)")
-    n, b = (state.n.y, state.n.z), (state.b.y, state.b.z)
-    nn, bb, nb = plane_product(*n, *n), plane_product(*b, *b), plane_product(*n, *b)
-    det = plane_det(*n, *b)
-    if abs(abs(nn) - 1.0) > _FRAME_TOL or abs(abs(bb) - 1.0) > _FRAME_TOL:
-        raise BadInitialFrame("n and b must be unit vectors of the isotropic product")
-    if nn * bb >= 0.0:
-        raise BadInitialFrame("n and b must have opposite causal types")
-    if abs(nb) > _FRAME_TOL:
-        raise BadInitialFrame("n and b must be orthogonal in the isotropic plane")
-    if abs(det - 1.0) > _FRAME_TOL:
-        raise BadInitialFrame("frame determinant must equal 1")
 
 
 @dataclass(frozen=True)
@@ -181,24 +140,20 @@ def _antiderivative(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def integrate_frenet(p: InvariantProfile, init: FrenetState | None = None,
-                     step: float = 1e-3) -> FrenetTrajectory:
+def integrate_frenet(p: InvariantProfile, step: float = 1e-3,
+                     r0: PGVector3 = ORIGIN) -> FrenetTrajectory:
     """Integrate the frame equations over the profile's range.
 
+    The curve starts at s_min from the position r0 with the canonical frame.
     The step is a target: the range is divided into a whole number of equal
     steps no longer than requested, so halving the requested step exactly
     doubles the step count.  Raises ValueError for a step that is not finite
     and positive, InvalidProfile when kappa is not positive on the sample
-    grid, BadInitialFrame for an inconsistent start frame and DomainError
-    when a profile cannot be evaluated on the range.
+    grid, and DomainError when a profile cannot be evaluated on the range or
+    the position or frame overflows.
     """
     if not 0.0 < step < math.inf:
         raise ValueError("step must be finite and positive")
-    if init is None:
-        init = canonical_state(p.s_min)
-    if init.s != p.s_min:
-        raise BadInitialFrame("initial state must sit at the range start")
-    _validate_state(init)
 
     length = p.s_max - p.s_min
     n_steps = max(1, int(math.ceil(length / step - 1e-9)))
@@ -211,16 +166,21 @@ def integrate_frenet(p: InvariantProfile, init: FrenetState | None = None,
         raise InvalidProfile("kappa must be positive on the whole range")
     tau = np.broadcast_to(p.tau.jet3(nodes).v, nodes.shape)
 
-    theta = _antiderivative(tau, h)[:, None]
-    n0, b0 = np.array([init.n.y, init.n.z]), np.array([init.b.y, init.b.z])
-    ch, sh = np.cosh(theta), np.sinh(theta)
-    n = n0 * ch + b0 * sh
-    b = b0 * ch + n0 * sh
-    t = np.array([init.t.y, init.t.z]) + _antiderivative(kappa[:, None] * n, h)
-    yz = np.array([init.r.y, init.r.z]) + _antiderivative(t, h)
+    # a fast-growing theta overflows cosh and sinh; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = _antiderivative(tau, h)
+        ch, sh = np.cosh(theta), np.sinh(theta)
+        n = np.column_stack([ch, sh])
+        b = np.column_stack([sh, ch])
+        t = _antiderivative(kappa[:, None] * n, h)
+        yz = np.array([r0.y, r0.z]) + _antiderivative(t, h)
 
     s = nodes[::2]
-    r = np.column_stack([init.r.x + (s - p.s_min), yz[::2]])
+    finite = np.isfinite(np.hstack([yz[::2], t[::2], n[::2]])).all(axis=1)
+    if not finite.all():
+        raise DomainError("synthesized position or frame is not finite "
+                          f"from s={float(s[np.argmin(finite)])!r}")
+    r = np.column_stack([r0.x + (s - p.s_min), yz[::2]])
     return FrenetTrajectory(s=s, r=r,
                             t_y=t[::2, 0], t_z=t[::2, 1],
                             n_y=n[::2, 0], n_z=n[::2, 1],
@@ -245,8 +205,7 @@ def synth_rectifying(m1: float, n1: float, kappa, s_range,
                       BinOp("*", BinOp("+", Var("s"), Const(float(m1))), kappa_e),
                       Const(float(n1))))
     p = InvariantProfile(kappa_e, tau_e, lo, hi)
-    start = canonical_state(lo, PGVector3(lo + m1, 0.0, float(n1)))
-    return integrate_frenet(p, start, step=step)
+    return integrate_frenet(p, step=step, r0=PGVector3(lo + m1, 0.0, float(n1)))
 
 
 def rectifying_drift(traj: FrenetTrajectory | FrenetGrid, m1: float, n1: float) -> np.ndarray:

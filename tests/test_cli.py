@@ -104,8 +104,11 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("rows, message", [
         ("0,0,1,0,7\n1,1,2,0,9\n", "row width does not match the header"),
-        ("0,0,1,0\n1,1,2,0,9\n2,2,5,0\n", "the number of columns changed from 4 to 5"),
-    ], ids=["every-row-wide", "one-row-long"])
+        ("0,0,1,0\n1,1,2,0,9\n2,2,5,0\n",
+         "row width does not match the header at line 3 (5 fields, header has 4)"),
+        ("0,0,1,0\n1,1,2,0\n2,2,5\n",
+         "row width does not match the header at line 4 (3 fields, header has 4)"),
+    ], ids=["every-row-wide", "one-row-long", "one-row-short"])
     def test_csv_row_width_exit_1(self, tmp_path, capsys, rows, message):
         bad = tmp_path / "bad.csv"
         bad.write_text("s,x,y,z\n" + rows)
@@ -206,6 +209,23 @@ class TestClassify:
                          "--output", str(tmp_path / "verdict.json")])
             assert code == 1
             assert "input error: classification needs a grid" in capsys.readouterr().err
+
+    def test_short_window_fit_is_neither(self, tmp_path):
+        # alpha = s + const along any graph-form curve, while the constant-
+        # invariant family assumes alpha = 0: its small misfit on a short
+        # window says nothing about the curve
+        curve = tmp_path / "short.json"
+        curve.write_text(json.dumps({"y": "cosh(s)", "z": "sinh(s)", "s_min": 0.0,
+                                     "s_max": 0.005, "samples": 1001}))
+        out = tmp_path / "verdict.json"
+        code = main(["classify", "--input", str(curve), "--tol-classify", "1e-5",
+                     "--output", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        residuals = payload["residuals"]
+        assert max(residuals["xi_residual"], residuals["eta_residual"]) <= 1e-5
+        assert residuals["beta_max"] == pytest.approx(1.0, rel=1e-9)
+        assert payload["verdict"] == "neither"
 
     def test_origin_shift_changes_m1(self, tmp_path, cosh_sinh_file):
         out = tmp_path / "verdict.json"
@@ -328,6 +348,28 @@ class TestSynthesize:
         assert code == 1
         assert "pgcurves: input error:" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_overflow_exit_1(self, tmp_path, capfd):
+        out = tmp_path / "x.csv"
+        code = main(["synthesize", "--kappa", "1", "--tau", "1000", "--frames",
+                     "--output", str(out)])
+        assert code == 1
+        err = capfd.readouterr().err
+        assert err.startswith("pgcurves: input error: synthesized position or frame "
+                              "is not finite from s=0.7")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("m1, n1, component", [("0", "inf", "z=inf"),
+                                                   ("nan", "1", "x=nan")])
+    def test_non_finite_start_position_exit_1(self, tmp_path, capsys, m1, n1, component):
+        out = tmp_path / "x.csv"
+        code = main(["synthesize", "--kappa", "1", f"--m1={m1}", f"--n1={n1}",
+                     "--output", str(out)])
+        assert code == 1
+        assert (f"pgcurves: input error: non-finite component {component}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestVerify:

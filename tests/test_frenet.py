@@ -51,7 +51,7 @@ class TestCurveDef:
             curve_from_exprs("s", "0", 0.0, 1.0, samples=1)
 
     def test_position_with_offset(self):
-        c = curve_from_exprs("s^2/2", "0", 0.0, 1.0, x_offset=3.0)
+        c = dataclasses.replace(curve_from_exprs("s^2/2", "0", 0.0, 1.0), x_offset=3.0)
         x, y, z = c.position(0.5)
         assert (x, y, z) == (3.5, 0.125, 0.0)
 

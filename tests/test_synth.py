@@ -14,10 +14,7 @@ from pgcurves.dsl import DomainError
 from pgcurves.frenet import frenet_grid
 from pgcurves.space import ORIGIN, PGVector3
 from pgcurves.synth import (
-    BadInitialFrame,
-    FrenetState,
     InvalidProfile,
-    canonical_state,
     integrate_frenet,
     profile,
     rectifying_drift,
@@ -132,27 +129,13 @@ class TestIntegrateFrenet:
         np.testing.assert_array_equal(traj.r[:, 0], traj.s)
         assert np.max(np.abs(got - ref.y)) <= 1e-9 * np.max(np.abs(ref.y))
 
-    def test_bad_initial_frame_rejected(self):
-        bad = FrenetState(
-            s=0.0, r=ORIGIN,
-            t=PGVector3(1.0, 0.0, 0.0),
-            n=PGVector3(0.0, 2.0, 0.0),  # not unit
-            b=PGVector3(0.0, 0.0, 1.0))
-        with pytest.raises(BadInitialFrame):
-            integrate_frenet(profile("1", "0", 0.0, 1.0), init=bad)
-
-    def test_init_must_sit_at_range_start(self):
-        with pytest.raises(BadInitialFrame):
-            integrate_frenet(profile("1", "0", 0.0, 1.0), init=canonical_state(0.5))
-
-    def test_lightlike_isotropic_frame_rejected(self):
-        bad = FrenetState(
-            s=0.0, r=ORIGIN,
-            t=PGVector3(1.0, 0.0, 0.0),
-            n=PGVector3(0.0, 1.0, 1.0),
-            b=PGVector3(0.0, 0.0, 1.0))
-        with pytest.raises(BadInitialFrame):
-            integrate_frenet(profile("1", "0", 0.0, 1.0), init=bad)
+    def test_start_position_shifts_the_curve(self):
+        p = profile("1 + s^2/10", "sin(s)", 0.5, 2.5)
+        r0 = PGVector3(-1.25, 3.5, 0.75)
+        base, moved = integrate_frenet(p), integrate_frenet(p, r0=r0)
+        for name in ("s", "t_y", "t_z", "n_y", "n_z", "b_y", "b_z"):
+            np.testing.assert_array_equal(getattr(moved, name), getattr(base, name))
+        np.testing.assert_array_equal(moved.r, base.r + np.array(r0.as_tuple()))
 
 
 class TestSynthRectifying:
