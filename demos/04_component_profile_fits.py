@@ -1,64 +1,74 @@
-"""Normal-plane component profiles for constant invariants, and their fits.
+"""Frame components of constant-invariant curves, and their fits.
 
-When curvature and torsion are constant, decomposing the position vector in
-the frame and insisting it stays in the {n, b} plane leads to the linear
-system  xi'' + 2 tau eta' + tau^2 xi = kappa,  eta'' + 2 tau xi' + tau^2
-eta = 0,  solved in closed form by
+Write r - p0 = alpha t + beta n + gamma b.  The frame equations
+t' = kappa n, n' = tau b, b' = tau n turn r' = t into
 
-    xi(s)  = (c1 + c2 s) e^(-tau s) + (c3 + c4 s) e^(tau s) + kappa/tau^2
-    eta(s) = (c1 + c2 s) e^(-tau s) - (c3 + c4 s) e^(tau s).
+    alpha' = 1,   beta' = -kappa alpha - tau gamma,   gamma' = -tau beta,
 
-The fitter recovers (kappa, tau, c1..c4) from raw samples of (xi, eta)
-alone: an integral-equation regression gives candidate taus on any grid,
-one joint least-squares fit scores each, and one Gauss-Newton step refines
-the winner (variable projection).
+and with kappa and tau constant, tau != 0, every solution is
+
+    alpha(s) = s + m1
+    beta(s)  = kappa/tau^2 + c_plus e^(tau s) + c_minus e^(-tau s)
+    gamma(s) = -kappa (s + m1)/tau - c_plus e^(tau s) + c_minus e^(-tau s).
+
+The classifier measures kappa and tau, takes m1 from alpha, and fits
+c_plus and c_minus by one linear least-squares fit of (beta, gamma).
 """
 
 import numpy as np
 
 from pgcurves import (
     ORIGIN,
+    PGVector3,
+    classify_rectifying,
+    constant_invariant_jets,
     curve_from_exprs,
-    fit_normal_components,
-    fit_normal_samples,
+    fit_constant_invariant,
     frame_components_arrays,
     frenet_grid,
-    normal_component_exprs,
-    normal_ode_residuals,
-    synth_normal_components,
+    integrate_frenet,
 )
-from pgcurves.classify import NonConstantInvariants
+from pgcurves.synth import profile
 
-# --- the closed forms really solve the system -----------------------------
-kappa, tau = 2.5, -1.3
-c = (0.3, -0.2, 0.1, 0.05)
-xi_e, eta_e = normal_component_exprs(kappa, tau, c)
-r1, r2 = normal_ode_residuals(xi_e, eta_e, kappa, tau, np.linspace(0, 2, 201))
-print(f"system residuals of the closed forms: {r1:.2e}, {r2:.2e}")
 
-# --- blind recovery from samples -------------------------------------------
-out = synth_normal_components(kappa, tau, c, np.linspace(0.0, 2.0, 161))
-fit = fit_normal_samples(out.s, out.xi, out.eta)
-print("\nblind recovery from 161 samples:")
-print(f"  kappa {fit.kappa0:.12f} (true {kappa})")
-print(f"  tau   {fit.tau0:.12f} (true {tau})")
-print(f"  c     ({fit.c1:.12f}, {fit.c2:.12f}, {fit.c3:.12f}, {fit.c4:.12f})")
-print(f"  profile misfit: xi {fit.xi_residual:.2e}, eta {fit.eta_residual:.2e}")
+def fit(curve, p0=ORIGIN):
+    dec = frame_components_arrays(frenet_grid(curve), p0)
+    verdict = classify_rectifying(dec)
+    return fit_constant_invariant(dec, verdict), verdict
 
-# --- measured curve components do not fit the family -----------------------
-# Admissible curves carry their position's x component in the tangential
-# slot, which feeds back into the plane components; the family above assumes
-# that feedback away.  The fit is still well-defined and reports the misfit.
-curve = curve_from_exprs("cosh(s)", "sinh(s)", 0.0, 2.0)
-fit = fit_normal_components(frame_components_arrays(frenet_grid(curve), ORIGIN))
-print(f"\ncurve (cosh s, sinh s): measured kappa={fit.kappa0:.6f}, "
-      f"tau={fit.tau0:.6f}")
-print(f"  best-fit misfit: xi {fit.xi_residual:.3f}, eta {fit.eta_residual:.3f} "
-      "(large: the curve is not a normal curve)")
 
-# --- non-constant invariants are rejected up front --------------------------
-varying = curve_from_exprs("exp(s)", "s^2/2", 0.5, 1.5)
-try:
-    fit_normal_components(frame_components_arrays(frenet_grid(varying), ORIGIN))
-except NonConstantInvariants as err:
-    print(f"\nvarying-invariant curve rejected: {err}")
+# --- the closed forms solve the frame equations ----------------------------
+kappa, tau, m1, c_plus, c_minus = 2.5, -1.3, 0.4, 0.3, -0.2
+alpha, beta, gamma = constant_invariant_jets(kappa, tau, m1, c_plus, c_minus,
+                                             np.linspace(0.0, 2.0, 201))
+print("residuals of the closed forms, through the jets:")
+print(f"  alpha' - 1                      {np.max(np.abs(alpha.d1 - 1.0)):.2e}")
+print(f"  beta' + kappa alpha + tau gamma {np.max(np.abs(beta.d1 + kappa * alpha.v + tau * gamma.v)):.2e}")
+print(f"  gamma' + tau beta               {np.max(np.abs(gamma.d1 + tau * beta.v)):.2e}")
+
+# --- a synthesis round trip ------------------------------------------------
+# Synthesis starts at r0 with the canonical frame, so alpha, beta and gamma
+# at s = 0 are r0's components; that fixes m1, c_plus and c_minus.
+kappa, tau, r0 = 2.0, 0.7, PGVector3(0.3, -0.5, 0.8)
+traj = integrate_frenet(profile(kappa, tau, 0.0, 2.0), r0=r0)
+result, verdict = fit(traj.to_curve(0.2, 1.8))
+c_sum, c_diff = r0.y - kappa / tau ** 2, r0.z + kappa * r0.x / tau
+print(f"\nsynthesized kappa={kappa}, tau={tau} from r0 = ({r0.x}, {r0.y}, {r0.z}):")
+print(f"  holds {result.holds}, measured kappa {result.kappa:.9f}, tau {result.tau:.9f}")
+print(f"  m1      {verdict.m1:.9f} (from r0: {r0.x})")
+print(f"  c_plus  {result.c_plus:.9f} (from r0: {0.5 * (c_sum - c_diff):.9f})")
+print(f"  c_minus {result.c_minus:.9f} (from r0: {0.5 * (c_sum + c_diff):.9f})")
+print(f"  relative residual {result.residual:.1e}")
+
+# --- cosh/sinh is a member of the family ------------------------------------
+for p0 in (ORIGIN, PGVector3(0.3, -1.0, 2.0)):
+    result, _ = fit(curve_from_exprs("cosh(s)", "sinh(s)", 0.0, 2.0), p0)
+    print(f"\n(cosh s, sinh s) about ({p0.x}, {p0.y}, {p0.z}): holds {result.holds}, "
+          f"kappa {result.kappa:.6f}, tau {result.tau:.6f}")
+    print(f"  c_plus {result.c_plus:.6f}, c_minus {result.c_minus:.6f}, "
+          f"relative residual {result.residual:.1e}")
+
+# --- curves outside the family say why ---------------------------------------
+for y, z, lo, hi in (("exp(s)", "s^2/2", 0.5, 1.5), ("s^2/2", "0", -1.0, 1.0)):
+    result, _ = fit(curve_from_exprs(y, z, lo, hi))
+    print(f"\n({y}, {z}): holds {result.holds}: {result.error}")

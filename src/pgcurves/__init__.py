@@ -2,9 +2,10 @@
 
 The package computes the moving frame, curvature and torsion of admissible
 curves under the degenerate pseudo-Galilean metric, decides whether a curve
-is rectifying, fits the constant-invariant normal-component profile, and
-synthesizes curves from prescribed curvature and torsion by integrating the
-frame equations from the canonical start frame.
+is rectifying, fits the family that the frame equations give when
+curvature and torsion are constant, and synthesizes curves from prescribed
+curvature and torsion by integrating the frame equations from the canonical
+start frame.
 """
 
 from .space import ORIGIN, CausalCharacter, PGVector3, causal_character, det3, pg_inner
@@ -32,27 +33,22 @@ from .frenet import (
     torsion_det,
 )
 from .classify import (
+    ConstantInvariantFit,
     DegenerateFit,
-    NonConstantInvariants,
-    NormalFit,
     RectifyingVerdict,
     SingularFrame,
-    ZeroTorsion,
     check_rectifying_properties,
     classify_rectifying,
-    fit_normal_components,
-    fit_normal_samples,
+    constant_invariant_jets,
+    fit_constant_invariant,
     frame_components,
     frame_components_arrays,
-    normal_component_exprs,
-    normal_ode_residuals,
 )
 from .synth import (
     FrenetTrajectory,
     InvalidProfile,
     integrate_frenet,
     rectifying_drift,
-    synth_normal_components,
     synth_rectifying,
 )
 

@@ -19,11 +19,9 @@ from pathlib import Path
 from . import verify as verify_mod
 from .classify import (
     DegenerateFit,
-    NonConstantInvariants,
-    ZeroTorsion,
-    frame_components_arrays,
     classify_rectifying,
-    fit_normal_components,
+    fit_constant_invariant,
+    frame_components_arrays,
 )
 from .dsl import DomainError, LexError, ParseError
 from .fileio import (
@@ -97,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = command("classify", cmd_classify,
-                "rectifying / neither verdict, with the constant-invariant fit")
+                "rectifying / neither verdict, and whether the constant-invariant "
+                "family fits")
     p.add_argument("--input", required=True, type=Path)
     p.add_argument("--output", required=True, type=Path)
     p.add_argument("--tol-classify", type=float, default=None,
@@ -191,7 +190,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     grid = frenet_grid(curve, tol_adm=args.tol_adm, strict=False)
     report_adm = check_admissible(grid)
     payload = {
-        "schema": 1,
+        "schema": 2,
         "command": "classify",
         "input": str(args.input),
         "origin": [origin.x, origin.y, origin.z],
@@ -199,18 +198,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
     }
     if not report_adm.admissible:
         payload.update({"verdict": None, "parameters": None, "residuals": None,
+                        "constant_invariant": None,
                         "tolerances": {"tol_adm": args.tol_adm}})
         write_json(args.output, payload)
         return EXIT_ADMISSIBILITY
 
     dec = frame_components_arrays(grid, origin)
     verdict = classify_rectifying(dec, tol=args.tol_classify)
-    normal_fit = None
-    normal_fit_error = None
-    try:
-        normal_fit = fit_normal_components(dec)
-    except (NonConstantInvariants, ZeroTorsion) as err:
-        normal_fit_error = str(err)
+    fit = fit_constant_invariant(dec, verdict)
 
     payload.update({
         "verdict": "rectifying" if verdict.is_rectifying else "neither",
@@ -219,22 +214,22 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "n1": verdict.n1,
             "a": verdict.a,
             "b": verdict.b_coef,
-            "c1": normal_fit.c1 if normal_fit else None,
-            "c2": normal_fit.c2 if normal_fit else None,
-            "c3": normal_fit.c3 if normal_fit else None,
-            "c4": normal_fit.c4 if normal_fit else None,
-            "kappa": normal_fit.kappa0 if normal_fit else None,
-            "tau": normal_fit.tau0 if normal_fit else None,
+            "kappa": fit.kappa,
+            "tau": fit.tau,
         },
         "residuals": {
             "beta_max": verdict.beta_max,
             "ratio_residual": verdict.ratio_residual,
             "rho_check": verdict.rho_check,
             "gamma_spread": verdict.gamma_spread,
-            "xi_residual": normal_fit.xi_residual if normal_fit else None,
-            "eta_residual": normal_fit.eta_residual if normal_fit else None,
         },
-        "normal_fit_error": normal_fit_error,
+        "constant_invariant": {
+            "holds": fit.holds,
+            "c_plus": fit.c_plus,
+            "c_minus": fit.c_minus,
+            "residual": fit.residual,
+            "error": fit.error,
+        },
         "tolerances": {"tol_adm": args.tol_adm, "tol_classify": verdict.tol},
     })
     write_json(args.output, payload)

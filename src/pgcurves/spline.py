@@ -1,17 +1,17 @@
-"""Quintic not-a-knot interpolating splines, their derivatives and antiderivatives.
+"""Quintic not-a-knot interpolating splines and their derivatives.
 
 A spline is a knot vector t and B-spline coefficients c of shape (n,), or
 (n, m) for m curves on one grid.  interpolate solves the collocation system
 with the not-a-knot end conditions (de Boor, A Practical Guide to Splines,
-rev. ed. 2001, ch. XIII); derivatives and antiderivatives transform the
-coefficients by the rules of ch. IX, and evaluate forms every order they
-return from one Cox-de Boor basis pass.
+rev. ed. 2001, ch. XIII); derivatives transforms the coefficients by the
+rules of ch. IX, and evaluate forms every order it returns from one
+Cox-de Boor basis pass.
 
 Every formula, and the order of every sum, is the one scipy's degree-5
-not-a-knot interpolant, its BSpline.derivative and .antiderivative and its
-evaluator use, so the values equal scipy's bit for bit.  The banded solve is
-LAPACK dgbsv, reached through the top-level scipy module so that scipy.linalg
-loads on the first fit only.
+not-a-knot interpolant, its BSpline.derivative and its evaluator use, so
+the values equal scipy's bit for bit.  The banded solve is LAPACK dgbsv,
+reached through the top-level scipy module so that scipy.linalg loads on
+the first fit only.
 """
 
 import numpy as np
@@ -73,25 +73,8 @@ def derivatives(t, c, orders):
     return out
 
 
-def antiderivatives(t, c, orders):
-    """Knots and stacked coefficients of the first `orders` antiderivatives.
-
-    The knots repeat each end knot `orders` more times.  Row i holds the
-    antiderivative of order `orders` - i, which vanishes at t[0] and has
-    degree K + orders - i on the knots less i at each end, padded with zeros.
-    """
-    out = np.zeros((orders, c.shape[0] + orders) + c.shape[1:])
-    for k in range(K, K + orders):
-        dt = t[k + 1:] - t[:-k - 1]
-        c = np.cumsum(c * _column(dt, c), axis=0) / (k + 1)
-        c = np.concatenate([np.zeros((1,) + c.shape[1:]), c])
-        t = np.concatenate([t[:1], t, t[-1:]])
-        out[K + orders - 1 - k, :c.shape[0]] = c
-    return t, out
-
-
 def evaluate(t, coefs, x):
-    """Values at x of stacked splines, as derivatives and antiderivatives return them.
+    """Values at x of stacked splines, as derivatives returns them.
 
     Row i of coefs has degree p - i, where p = t.size - coefs.shape[1] - 1,
     on t less i knots at each end.  Outside [t[0], t[-1]] the end pieces

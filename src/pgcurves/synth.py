@@ -35,15 +35,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import normal_component_exprs
 from .dsl import BinOp, Const, DomainError, Expr, Neg, Var, as_expr
 from .frenet import CurveDef, FrenetGrid, curve_from_samples
 from .space import ORIGIN, PGVector3, plane_det, plane_product
 
 __all__ = [
     "InvalidProfile", "InvariantProfile", "FrenetTrajectory", "integrate_frenet",
-    "synth_rectifying", "synth_normal_components", "NormalComponentSamples",
-    "rectifying_drift",
+    "synth_rectifying", "rectifying_drift",
 ]
 
 _KNOT_SPACING = 4e-3
@@ -215,27 +213,3 @@ def rectifying_drift(traj: FrenetTrajectory | FrenetGrid, m1: float, n1: float) 
     fy = traj.r[:, 1] - lam * traj.t_y - n1 * traj.b_y
     fz = traj.r[:, 2] - lam * traj.t_z - n1 * traj.b_z
     return np.array([float(np.ptp(f)) for f in (fx, fy, fz)])
-
-
-@dataclass(frozen=True)
-class NormalComponentSamples:
-    """Closed-form normal-plane component profiles evaluated on a grid."""
-
-    s: np.ndarray
-    xi: np.ndarray
-    eta: np.ndarray
-
-
-def synth_normal_components(kappa: float, tau: float,
-                            c: tuple[float, float, float, float],
-                            grid) -> NormalComponentSamples:
-    """Evaluate the constant-invariant component family on a grid.
-
-    The closed forms satisfy the governing component system identically;
-    normal_ode_residuals on normal_component_exprs lands at the rounding floor.
-    """
-    xi_e, eta_e = normal_component_exprs(kappa, tau, c)
-    s = np.asarray(grid, dtype=float)
-    xi = np.asarray(xi_e.jet3(s).v, dtype=float)
-    eta = np.asarray(eta_e.jet3(s).v, dtype=float)
-    return NormalComponentSamples(s=s, xi=xi, eta=eta)

@@ -6,11 +6,10 @@ differential system they solve, synthesis vs re-analysis, jets vs finite
 differences) and reports the worst observed residual next to its tolerance.
 The suite is deterministic for a fixed seed.
 
+Each randomized check draws from its own generator, spawned from the seed.
 ``run_all`` runs the rectifying round trips, its most expensive check, in a
-forked child while the parent runs the other checks.  The child's generator
-is the parent's, advanced past the other checks' draws by replaying them
-through the same ``_draw_*`` helpers, so the report is byte-identical to an
-in-order run on one generator.
+forked child while the parent runs the other checks; since no check's draws
+depend on another's, the report is byte-identical to an in-order run.
 """
 
 import math
@@ -23,21 +22,14 @@ import numpy as np
 from .classify import (
     check_rectifying_properties,
     classify_rectifying,
-    fit_normal_samples,
+    constant_invariant_jets,
+    fit_constant_invariant,
     frame_components_arrays,
-    normal_component_exprs,
-    normal_ode_residuals,
 )
 from .dsl import LexError, ParseError, eval_jet3, parse_expr
 from .frenet import curve_from_exprs, frenet_grid, torsion_det
-from .space import ORIGIN, plane_product
-from .synth import (
-    integrate_frenet,
-    profile,
-    rectifying_drift,
-    synth_normal_components,
-    synth_rectifying,
-)
+from .space import ORIGIN, PGVector3, plane_product
+from .synth import integrate_frenet, profile, rectifying_drift, synth_rectifying
 
 __all__ = ["CheckResult", "run_all", "CURVE_CORPUS", "PARSER_CORPUS",
            "DEFAULT_TOLERANCES", "corpus_curves"]
@@ -137,8 +129,8 @@ _FD_CORPUS = [
 DEFAULT_TOLERANCES = {
     "frenet_consistency": 1e-9,
     "torsion_equivalence": 1e-12,
-    "normal_ode_closed_forms": 1e-10,
-    "normal_fit_roundtrip": 1e-8,
+    "constant_invariant_closed_forms": 1e-10,
+    "constant_invariant_roundtrip": 1e-8,
     "rectifying_beta": 1e-6,
     "rectifying_params": 1e-5,
     "rectifying_slope": 1e-6,
@@ -162,25 +154,18 @@ def check_frenet_consistency(points: int = 1000, tol: float = 1e-9) -> CheckResu
                        "max frame-equation residual over the DSL corpus")
 
 
-def _draw_torsion_points(rng, pairs: int) -> list[np.ndarray]:
-    """pairs random parameters in all, spread over the corpus curves in order."""
-    per_curve = pairs // len(CURVE_CORPUS) + 1
-    points = []
-    count = 0
-    for _, _, _, lo, hi in CURVE_CORPUS:
-        if count >= pairs:
-            break
-        n = min(per_curve, pairs - count)
-        points.append(rng.uniform(lo, hi, size=n))
-        count += n
-    return points
-
-
 def check_torsion_equivalence(rng, pairs: int = 10_000, tol: float = 1e-12) -> CheckResult:
-    """Component torsion against determinant torsion at random points."""
+    """Component torsion against determinant torsion at random points.
+
+    pairs random parameters in all, spread over the corpus curves in order.
+    """
+    per_curve = pairs // len(CURVE_CORPUS) + 1
     worst = 0.0
     count = 0
-    for (_, curve), s in zip(corpus_curves(), _draw_torsion_points(rng, pairs)):
+    for (_, curve), (*_, lo, hi) in zip(corpus_curves(), CURVE_CORPUS):
+        if count >= pairs:
+            break
+        s = rng.uniform(lo, hi, size=min(per_curve, pairs - count))
         tau_frame = frenet_grid(curve, s).tau
         tau_det = torsion_det(curve, s)
         denom = np.maximum(np.abs(tau_frame), np.abs(tau_det))
@@ -192,45 +177,57 @@ def check_torsion_equivalence(rng, pairs: int = 10_000, tol: float = 1e-12) -> C
                        "relative gap between the two torsion formulas")
 
 
-def _draw_family(rng):
-    kappa = rng.uniform(0.1, 10.0)
-    tau = rng.uniform(0.1, 5.0) * rng.choice([-1.0, 1.0])
-    c = tuple(rng.uniform(-1.0, 1.0, size=4))
-    return kappa, tau, c
+def check_constant_invariant_closed_forms(rng, draws: int = 100,
+                                         tol: float = 1e-10) -> CheckResult:
+    """The constant-invariant family substituted into the frame equations.
 
-
-def check_normal_ode_closed_forms(rng, draws: int = 100, tol: float = 1e-10) -> CheckResult:
-    """Closed-form component profiles re-substituted into their system.
-
-    The grid stays on [0, 1] so the exponential factors remain <= e^5 and the
-    rounding floor sits orders below the tolerance.
+    Through the jets, alpha' = 1, beta' = -kappa alpha - tau gamma and
+    gamma' = -tau beta must hold for every draw.  The grid stays on [0, 1] so
+    the exponential factors remain <= e^5 and the rounding floor sits orders
+    below the tolerance.
     """
-    grid = np.linspace(0.0, 1.0, 101)
-    worst = 0.0
-    for _ in range(draws):
-        kappa, tau, c = _draw_family(rng)
-        xi_e, eta_e = normal_component_exprs(kappa, tau, c)
-        r1, r2 = normal_ode_residuals(xi_e, eta_e, kappa, tau, grid)
-        worst = max(worst, r1, r2)
-    return CheckResult("normal_ode_closed_forms", worst <= tol, worst, tol, draws,
-                       "max residual of the component system")
+    kappa = rng.uniform(0.1, 10.0, (draws, 1))
+    tau = rng.uniform(0.1, 5.0, (draws, 1)) * rng.choice([-1.0, 1.0], (draws, 1))
+    m1, c_plus, c_minus = rng.uniform(-1.0, 1.0, (3, draws, 1))
+    alpha, beta, gamma = constant_invariant_jets(kappa, tau, m1, c_plus, c_minus,
+                                                 np.linspace(0.0, 1.0, 101))
+    worst = max(float(np.max(np.abs(alpha.d1 - 1.0))),
+                float(np.max(np.abs(beta.d1 + kappa * alpha.v + tau * gamma.v))),
+                float(np.max(np.abs(gamma.d1 + tau * beta.v))))
+    return CheckResult("constant_invariant_closed_forms", worst <= tol, worst, tol,
+                       draws, "max residual of the three frame-component equations")
 
 
-def check_normal_fit_roundtrip(rng, draws: int = 50, tol: float = 1e-8) -> CheckResult:
-    """Blind parameter recovery from sampled component profiles."""
+def check_constant_invariant_roundtrip(rng, draws: int = 30, step: float = 1e-3,
+                                       tol: float = 1e-8) -> CheckResult:
+    """Synthesize-classify round trips for randomized constant-invariant curves.
+
+    Synthesis starts at r0 with the canonical frame, so at s = 0 the frame
+    components are alpha = r0.x, beta = r0.y and gamma = r0.z.  That fixes
+    m1 = r0.x, and c_plus and c_minus through
+    beta(0) = kappa/tau^2 + c_plus + c_minus and
+    gamma(0) = -kappa m1/tau - c_plus + c_minus.  A draw whose fit does not
+    hold counts as an infinite error.
+    """
     worst = 0.0
     for _ in range(draws):
-        kappa, tau, c = _draw_family(rng)
-        length = min(3.0, max(1.0, 2.5 / abs(tau)))
-        grid = np.linspace(0.0, length, 121)
-        out = synth_normal_components(kappa, tau, c, grid)
-        fit = fit_normal_samples(out.s, out.xi, out.eta)
-        err = max(abs(fit.kappa0 - kappa), abs(fit.tau0 - tau),
-                  abs(fit.c1 - c[0]), abs(fit.c2 - c[1]),
-                  abs(fit.c3 - c[2]), abs(fit.c4 - c[3]))
-        worst = max(worst, err)
-    return CheckResult("normal_fit_roundtrip", worst <= tol, worst, tol, draws,
-                       "max-abs parameter recovery error")
+        kappa = rng.uniform(0.5, 3.0)
+        tau = rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0])
+        r0 = PGVector3(*rng.uniform(-1.0, 1.0, 3).tolist())
+        traj = integrate_frenet(profile(kappa, tau, 0.0, 2.0), step=step, r0=r0)
+        dec = frame_components_arrays(frenet_grid(traj.to_curve(0.2, 1.8)), ORIGIN)
+        verdict = classify_rectifying(dec)
+        fit = fit_constant_invariant(dec, verdict)
+        if not fit.holds:
+            worst = math.inf
+            continue
+        c_sum = r0.y - kappa / tau ** 2          # c_plus + c_minus
+        c_diff = r0.z + kappa * r0.x / tau       # c_minus - c_plus
+        worst = max(worst, abs(verdict.m1 - r0.x),
+                    abs(fit.c_plus - 0.5 * (c_sum - c_diff)),
+                    abs(fit.c_minus - 0.5 * (c_sum + c_diff)))
+    return CheckResult("constant_invariant_roundtrip", worst <= tol, worst, tol, draws,
+                       "worst recovery error of m1, c_plus and c_minus")
 
 
 def check_rectifying_suite(rng, draws: int = 50, step: float = 1e-3,
@@ -405,18 +402,14 @@ def run_all(seed: int = 0, overrides: dict[str, float] | None = None) -> dict:
                 raise ValueError(f"tolerance {name} must be finite and positive, got {value}")
         tol.update(overrides)
 
-    rng = np.random.default_rng(seed)
-    pairs, closed_form_draws, fit_draws = 10_000, 100, 50
+    torsion_rng, closed_form_rng, roundtrip_rng, rectifying_rng = (
+        np.random.default_rng(seed).spawn(4))
 
     def rectifying_suite():
-        # the child's rng is a copy of the parent's at the fork: replay the
-        # draws of the checks that precede this one in the report
-        _draw_torsion_points(rng, pairs)
-        for _ in range(closed_form_draws + fit_draws):
-            _draw_family(rng)
         return check_rectifying_suite(
-            rng, tol_beta=tol["rectifying_beta"], tol_params=tol["rectifying_params"],
-            tol_slope=tol["rectifying_slope"], tol_conservation=tol["conservation"],
+            rectifying_rng, tol_beta=tol["rectifying_beta"],
+            tol_params=tol["rectifying_params"], tol_slope=tol["rectifying_slope"],
+            tol_conservation=tol["conservation"],
             tol_properties=tol["rectifying_properties"])
 
     pid, pipe = _fork_call(rectifying_suite)
@@ -424,12 +417,11 @@ def run_all(seed: int = 0, overrides: dict[str, float] | None = None) -> dict:
         with pipe:
             head = [
                 check_frenet_consistency(points=1000, tol=tol["frenet_consistency"]),
-                check_torsion_equivalence(rng, pairs=pairs,
-                                          tol=tol["torsion_equivalence"]),
-                check_normal_ode_closed_forms(rng, draws=closed_form_draws,
-                                              tol=tol["normal_ode_closed_forms"]),
-                check_normal_fit_roundtrip(rng, draws=fit_draws,
-                                           tol=tol["normal_fit_roundtrip"]),
+                check_torsion_equivalence(torsion_rng, tol=tol["torsion_equivalence"]),
+                check_constant_invariant_closed_forms(
+                    closed_form_rng, tol=tol["constant_invariant_closed_forms"]),
+                check_constant_invariant_roundtrip(
+                    roundtrip_rng, tol=tol["constant_invariant_roundtrip"]),
             ]
             tail = [
                 check_integrator_order(),
@@ -443,7 +435,7 @@ def run_all(seed: int = 0, overrides: dict[str, float] | None = None) -> dict:
     checks = head + _child_result(payload, status) + tail
 
     return {
-        "schema": 1,
+        "schema": 2,
         "seed": int(seed),
         "passed": all(c.passed for c in checks),
         "checks": [c.as_dict() for c in checks],

@@ -14,9 +14,9 @@ from pgcurves.verify import (
     check_frenet_consistency,
     check_frame_constants,
     check_integrator_order,
+    check_constant_invariant_closed_forms,
+    check_constant_invariant_roundtrip,
     check_jet_finite_difference,
-    check_normal_fit_roundtrip,
-    check_normal_ode_closed_forms,
     check_parser_corpus,
     check_rectifying_suite,
     check_torsion_equivalence,
@@ -72,25 +72,25 @@ def test_criterion_2_torsion_oracle_equivalence():
 def test_criterion_3_component_system_closed_forms():
     rng = np.random.default_rng(ACCEPTANCE_SEED)
     start = time.perf_counter()
-    result = check_normal_ode_closed_forms(rng, draws=100, tol=1e-10)
+    result = check_constant_invariant_closed_forms(rng, draws=100, tol=1e-10)
     runtime = time.perf_counter() - start
     ok = result.passed and runtime < 2.0
-    _report("criterion 3 (closed forms solve the component system)", ok,
+    _report("criterion 3 (constant-invariant closed forms solve the frame equations)", ok,
             f"worst residual {result.worst:.3e} <= 1e-10 on 100 draws",
             runtime, 2.0)
     assert result.passed, result
     assert runtime < 2.0
 
 
-def test_criterion_4_normal_fit_round_trip():
+def test_criterion_4_constant_invariant_round_trip():
     rng = np.random.default_rng(ACCEPTANCE_SEED)
     start = time.perf_counter()
-    result = check_normal_fit_roundtrip(rng, draws=50, tol=1e-8)
+    result = check_constant_invariant_roundtrip(rng, draws=30, tol=1e-8)
     runtime = time.perf_counter() - start
     ok = result.passed and runtime < 5.0
-    _report("criterion 4 (component-profile parameter recovery)", ok,
-            f"worst recovery error {result.worst:.3e} <= 1e-08 on 50 draws",
-            runtime, 5.0)
+    _report("criterion 4 (synthesize-classify constant-invariant round trip)", ok,
+            f"worst recovery error of m1, c_plus and c_minus {result.worst:.3e} "
+            "<= 1e-08 on 30 draws", runtime, 5.0)
     assert result.passed, result
     assert runtime < 5.0
 

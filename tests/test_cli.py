@@ -33,6 +33,28 @@ def cosh_sinh_csv(tmp_path):
     return path
 
 
+def _strict_json(path):
+    """A report read as strict JSON: NaN and Infinity raise."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+def _synthesize_and_classify(tmp_path, *synth_args, swap_yz=False):
+    """classify's report on a synthesized CSV, with its y and z columns swapped
+    if asked (the eps = -1 mirror of the curve)."""
+    curve_path = tmp_path / "synth.csv"
+    assert main(["synthesize", *synth_args, "--output", str(curve_path)]) == 0
+    if swap_yz:
+        header, *rows = curve_path.read_text().splitlines()
+        curve_path.write_text(header + "\n" + "".join(
+            f"{s},{x},{z},{y}\n" for s, x, y, z in (row.split(",") for row in rows)))
+    out = tmp_path / "verdict.json"
+    assert main(["classify", "--input", str(curve_path), "--output", str(out)]) == 0
+    return _strict_json(out)
+
+
 @pytest.fixture
 def line_file(tmp_path):
     path = tmp_path / "line.json"
@@ -144,12 +166,7 @@ class TestAnalyze:
                                      "s_min": 0.0, "s_max": 2.0, "samples": 21}))
         out = tmp_path / "report"
         assert main(["analyze", "--input", str(curve), "--output", str(out)]) == 2
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
-        text = (tmp_path / "report.json").read_text()
-        payload = json.loads(text, parse_constant=reject)
+        payload = _strict_json(tmp_path / "report.json")
         (row,) = [row for row in payload["rows"] if row["s"] == 1.0]
         assert row["kappa"] is None and row["tau"] is None
         assert "NaN" in (tmp_path / "report.csv").read_text()
@@ -170,31 +187,71 @@ class TestClassify:
         code = main(["classify", "--input", str(cosh_sinh_file),
                      "--output", str(out)])
         assert code == 0
-        payload = json.loads(out.read_text())
+        payload = _strict_json(out)
+        assert payload["schema"] == 2
         assert payload["verdict"] == "neither"
         assert payload["parameters"]["a"] == pytest.approx(0.0, abs=1e-9)
         assert payload["residuals"]["beta_max"] == pytest.approx(1.0, rel=1e-9)
+        # beta = 1 and gamma = -s: the family's particular solution
+        family = payload["constant_invariant"]
+        assert family["holds"] is True and family["error"] is None
+        assert abs(family["c_plus"]) <= 1e-12 and abs(family["c_minus"]) <= 1e-12
+        assert set(payload["parameters"]) == {"m1", "n1", "a", "b", "kappa", "tau"}
 
     def test_synthesized_curve_is_rectifying(self, tmp_path):
-        curve_path = tmp_path / "synth.csv"
-        code = main(["synthesize", "--m1", "0", "--n1", "1", "--kappa", "1",
-                     "--s-min", "0", "--s-max", "2", "--output", str(curve_path)])
-        assert code == 0
-        out = tmp_path / "verdict.json"
-        code = main(["classify", "--input", str(curve_path),
-                     "--output", str(out)])
-        assert code == 0
-        payload = json.loads(out.read_text())
+        payload = _synthesize_and_classify(tmp_path, "--m1", "0", "--n1", "1", "--kappa", "1",
+                                           "--s-min", "0", "--s-max", "2")
         assert payload["verdict"] == "rectifying"
         assert payload["parameters"]["m1"] == pytest.approx(0.0, abs=1e-5)
         assert payload["parameters"]["n1"] == pytest.approx(1.0, abs=1e-5)
+        assert payload["constant_invariant"]["holds"] is False
+
+    def test_synthesized_constant_invariant_curve_holds(self, tmp_path):
+        payload = _synthesize_and_classify(tmp_path, "--kappa", "2", "--tau", "0.7",
+                                           "--s-max", "2")
+        assert payload["verdict"] == "neither"
+        p = payload["parameters"]
+        assert p["kappa"] == pytest.approx(2.0, rel=1e-4)
+        assert p["tau"] == pytest.approx(0.7, rel=1e-4)
+        family = payload["constant_invariant"]
+        assert family["holds"] is True and family["error"] is None
+        assert family["residual"] <= 1e-6
+        # the start at the origin with the canonical frame: beta(0) = gamma(0) = 0
+        assert family["c_plus"] == pytest.approx(-0.5 * 2.0 / 0.7**2, abs=1e-6)
+        assert family["c_minus"] == pytest.approx(-0.5 * 2.0 / 0.7**2, abs=1e-6)
+
+    def test_timelike_normal_mirror_holds(self, tmp_path):
+        # swapping y and z turns the spacelike principal normal timelike
+        # (eps = -1): tau changes sign, c_plus and c_minus trade places, and
+        # the residual does not change
+        args = ("--kappa", "2", "--tau", "0.7", "--s-max", "2")
+        plain = _synthesize_and_classify(tmp_path, *args)
+        mirror = _synthesize_and_classify(tmp_path, *args, swap_yz=True)
+        assert mirror["parameters"]["tau"] == -plain["parameters"]["tau"]
+        family, plain_family = mirror["constant_invariant"], plain["constant_invariant"]
+        assert family["holds"] is True
+        assert family["residual"] == pytest.approx(plain_family["residual"], rel=1e-6)
+        assert family["c_plus"] == pytest.approx(plain_family["c_minus"], rel=1e-8)
+        assert family["c_minus"] == pytest.approx(plain_family["c_plus"], rel=1e-8)
+
+    def test_planar_curve_has_no_family(self, tmp_path):
+        curve = tmp_path / "parabola.json"
+        curve.write_text(json.dumps({"y": "s^2/2", "z": "0", "s_min": -1.0, "s_max": 1.0}))
+        out = tmp_path / "verdict.json"
+        assert main(["classify", "--input", str(curve), "--output", str(out)]) == 0
+        payload = _strict_json(out)
+        assert payload["parameters"]["tau"] == 0.0
+        assert payload["constant_invariant"] == {
+            "holds": False, "c_plus": None, "c_minus": None, "residual": None,
+            "error": "torsion vanishes over the grid, and the family needs tau != 0"}
 
     def test_inadmissible_exit_2(self, tmp_path, line_file):
         out = tmp_path / "verdict.json"
         code = main(["classify", "--input", str(line_file), "--output", str(out)])
         assert code == 2
-        payload = json.loads(out.read_text())
+        payload = _strict_json(out)
         assert payload["verdict"] is None
+        assert payload["constant_invariant"] is None
 
     def test_short_grid_exit_1(self, tmp_path, capsys):
         curve = tmp_path / "short.json"
@@ -211,9 +268,8 @@ class TestClassify:
             assert "input error: classification needs a grid" in capsys.readouterr().err
 
     def test_short_window_fit_is_neither(self, tmp_path):
-        # alpha = s + const along any graph-form curve, while the constant-
-        # invariant family assumes alpha = 0: its small misfit on a short
-        # window says nothing about the curve
+        # on a short window cosh/sinh is still no rectifying curve, and still
+        # a member of the constant-invariant family
         curve = tmp_path / "short.json"
         curve.write_text(json.dumps({"y": "cosh(s)", "z": "sinh(s)", "s_min": 0.0,
                                      "s_max": 0.005, "samples": 1001}))
@@ -221,18 +277,17 @@ class TestClassify:
         code = main(["classify", "--input", str(curve), "--tol-classify", "1e-5",
                      "--output", str(out)])
         assert code == 0
-        payload = json.loads(out.read_text())
-        residuals = payload["residuals"]
-        assert max(residuals["xi_residual"], residuals["eta_residual"]) <= 1e-5
-        assert residuals["beta_max"] == pytest.approx(1.0, rel=1e-9)
+        payload = _strict_json(out)
+        assert payload["residuals"]["beta_max"] == pytest.approx(1.0, rel=1e-9)
         assert payload["verdict"] == "neither"
+        assert payload["constant_invariant"]["holds"] is True
 
     def test_origin_shift_changes_m1(self, tmp_path, cosh_sinh_file):
         out = tmp_path / "verdict.json"
         code = main(["classify", "--input", str(cosh_sinh_file),
                      "--output", str(out), "--origin", "5,0,0"])
         assert code == 0
-        payload = json.loads(out.read_text())
+        payload = _strict_json(out)
         assert payload["parameters"]["m1"] == pytest.approx(-5.0, abs=1e-9)
 
 

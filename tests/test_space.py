@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pgcurves.space import (
@@ -61,11 +61,16 @@ class TestInner:
         assert pg_inner(u, v) == pg_inner(v, u)
 
     @given(isotropic, isotropic, isotropic, nonzero, nonzero)
+    # 31 * 500 * 541.8 ~ 8.4e6 cancels here, and lhs reads -1.86e-9 against 0.0
+    @example(PGVector3(0.0, 0.0, 0.0), PGVector3(0.0, 500.0, 541.8144323850183),
+             PGVector3(0.0, 541.8144323850183, 500.0), 1.0, 31.0)
     def test_bilinear_on_isotropic_plane(self, u, v, w, a, b):
         lhs = pg_inner(a * u + b * v, w)
         rhs = a * pg_inner(u, w) + b * pg_inner(v, w)
-        scale = 1.0 + abs(lhs) + abs(rhs)
-        assert abs(lhs - rhs) <= 1e-9 * scale
+        # the rounding error grows with the terms that cancel, not with the result
+        scale = (abs(a) * (abs(u.y * w.y) + abs(u.z * w.z))
+                 + abs(b) * (abs(v.y * w.y) + abs(v.z * w.z)))
+        assert abs(lhs - rhs) <= 1e-12 * (1.0 + scale)
 
     @given(isotropic)
     def test_character_matches_inner_sign(self, u):

@@ -51,13 +51,6 @@ def test_matches_make_interp_spline(kind, columns):
         assert got.shape == want.shape, order
         assert np.array_equal(got, want), order
 
-    knots, integrals = spline.antiderivatives(t, c, 2)
-    got = spline.evaluate(knots, integrals, x)
-    want = [ref.antiderivative(2)(x), ref.antiderivative(1)(x)]
-    for order, (g, w) in zip((2, 1), zip(got, want)):
-        assert g.shape == w.shape, order
-        assert np.array_equal(g, w), order
-
 
 @pytest.mark.parametrize("at", ["interior", "first", "last", "beyond"])
 def test_scalar_point(at):

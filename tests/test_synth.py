@@ -18,7 +18,6 @@ from pgcurves.synth import (
     integrate_frenet,
     profile,
     rectifying_drift,
-    synth_normal_components,
     synth_rectifying,
 )
 
@@ -189,31 +188,3 @@ class TestSynthRectifying:
     def test_zero_n1_rejected(self):
         with pytest.raises(ValueError):
             synth_rectifying(0.0, 0.0, "1", (0.0, 1.0))
-
-
-class TestSynthNormalComponents:
-    def test_zero_coefficients(self):
-        out = synth_normal_components(1.0, 2.0, (0, 0, 0, 0), np.linspace(0, 1, 11))
-        np.testing.assert_allclose(out.xi, 0.25, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(out.eta, 0.0, atol=1e-15)
-
-    def test_hand_value_at_zero(self):
-        out = synth_normal_components(1.0, 1.0, (1, 0, 0, 0), np.array([0.0]))
-        assert out.xi[0] == pytest.approx(2.0, abs=1e-15)
-        assert out.eta[0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_round_trip_through_sample_fit(self):
-        from pgcurves.classify import fit_normal_samples
-
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            kappa = rng.uniform(0.5, 5.0)
-            tau = rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0])
-            c = tuple(rng.uniform(-1.0, 1.0, size=4))
-            grid = np.linspace(0.0, 2.0, 161)
-            out = synth_normal_components(kappa, tau, c, grid)
-            fit = fit_normal_samples(out.s, out.xi, out.eta)
-            assert fit.kappa0 == pytest.approx(kappa, abs=1e-8)
-            assert fit.tau0 == pytest.approx(tau, abs=1e-8)
-            for got, want in zip((fit.c1, fit.c2, fit.c3, fit.c4), c):
-                assert got == pytest.approx(want, abs=1e-8)

@@ -14,9 +14,9 @@ from pgcurves.verify import (
     check_frame_constants,
     check_frenet_consistency,
     check_integrator_order,
+    check_constant_invariant_closed_forms,
+    check_constant_invariant_roundtrip,
     check_jet_finite_difference,
-    check_normal_fit_roundtrip,
-    check_normal_ode_closed_forms,
     check_parser_corpus,
     check_rectifying_suite,
     check_torsion_equivalence,
@@ -25,16 +25,18 @@ from pgcurves.verify import (
 
 
 def _in_order_report(seed):
-    # every check in report order, in one process, on one generator
+    # every check in report order, in one process, each randomized check on
+    # its own generator spawned from the seed
     tol = DEFAULT_TOLERANCES
-    rng = np.random.default_rng(seed)
+    torsion, closed_forms, roundtrip, rectifying = np.random.default_rng(seed).spawn(4)
     checks = [
         check_frenet_consistency(points=1000, tol=tol["frenet_consistency"]),
-        check_torsion_equivalence(rng, tol=tol["torsion_equivalence"]),
-        check_normal_ode_closed_forms(rng, tol=tol["normal_ode_closed_forms"]),
-        check_normal_fit_roundtrip(rng, tol=tol["normal_fit_roundtrip"]),
+        check_torsion_equivalence(torsion, tol=tol["torsion_equivalence"]),
+        check_constant_invariant_closed_forms(
+            closed_forms, tol=tol["constant_invariant_closed_forms"]),
+        check_constant_invariant_roundtrip(roundtrip, tol=tol["constant_invariant_roundtrip"]),
         *check_rectifying_suite(
-            rng, tol_beta=tol["rectifying_beta"], tol_params=tol["rectifying_params"],
+            rectifying, tol_beta=tol["rectifying_beta"], tol_params=tol["rectifying_params"],
             tol_slope=tol["rectifying_slope"], tol_conservation=tol["conservation"],
             tol_properties=tol["rectifying_properties"]),
         check_integrator_order(),
@@ -43,7 +45,7 @@ def _in_order_report(seed):
         check_jet_finite_difference(tol=tol["jet_finite_difference"]),
     ]
     return {
-        "schema": 1,
+        "schema": 2,
         "seed": seed,
         "passed": all(c.passed for c in checks),
         "checks": [c.as_dict() for c in checks],
