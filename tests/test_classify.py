@@ -162,7 +162,10 @@ def _shifted_cosh_sinh(s0, samples=201):
                             samples=samples)
 
 
-class TestFitConstantInvariant:
+class TestFitNormalComponents:
+    """fit_constant_invariant: the normal-plane components beta and gamma
+    fitted to the constant-invariant family."""
+
     @staticmethod
     def _fit(curve, p0=ORIGIN):
         dec = frame_components_arrays(frenet_grid(curve), p0)
