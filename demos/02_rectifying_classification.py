@@ -2,18 +2,18 @@
 
 A curve is rectifying when its position vector stays in the span of the
 tangent and binormal, i.e. the principal-normal component beta(s) vanishes.
-Equivalent signatures, all reported by the classifier: the tangential
-component is s + m1, the binormal component is a nonzero constant n1, the
-squared distance is |(s+m1)^2 + e n1^2| with e = <b,b>, and tau/kappa is an
-affine function of s with slope -1/n1.  All of them are read off one frame
-decomposition of one FrenetGrid.
+Equivalent signatures: the tangential component is s + m1, the binormal
+component is a nonzero constant n1, the squared distance is
+|(s+m1)^2 + e n1^2| with e = <b,b>, and tau/kappa is an affine function of
+s with slope -1/n1.  classify_rectifying reads all of them off one frame
+decomposition of one FrenetGrid, for any verdict, and
+RectifyingVerdict.signature_checks tells which of the four hold.
 """
 
 import numpy as np
 
 from pgcurves import (
     ORIGIN,
-    check_rectifying_properties,
     classify_rectifying,
     curve_from_exprs,
     frame_components,
@@ -56,18 +56,18 @@ print(f"  fitted n1 = {verdict.n1:.10f} (true {n1})")
 print(f"  tau/kappa slope a = {verdict.a:.10f} (expect -1/n1 = {-1/n1:.10f})")
 print(f"  beta_max = {verdict.beta_max:.2e}")
 
-report = check_rectifying_properties(dec, verdict, tol=1e-5)
+distance_ok, tangential_ok, normal_ok, binormal_ok = verdict.signature_checks(1e-5)
 print("\nthe four signatures:")
-print(f"  (i)   distance law        ok={report.distance_ok} "
-      f"residual={report.distance_residual:.2e}")
-print(f"  (ii)  tangential = s+m1   ok={report.tangential_ok} "
-      f"residual={report.tangential_residual:.2e}")
-print(f"  (iii) |normal part| const ok={report.normal_length_ok} "
-      f"residual={report.normal_length_residual:.2e} "
-      f"(distance itself varies by {report.rho_spread:.3f})")
-print(f"  (iv)  binormal const      ok={report.binormal_ok} "
-      f"residual={report.binormal_residual:.2e} "
-      f"(max |tau| = {report.tau_abs_max:.3f})")
+print(f"  (i)   distance law        ok={distance_ok} "
+      f"residual={verdict.rho_check:.2e}")
+print(f"  (ii)  tangential = s+m1   ok={tangential_ok} "
+      f"residual={verdict.tangential_residual:.2e}")
+print(f"  (iii) |normal part| const ok={normal_ok} "
+      f"residual={verdict.normal_length_residual:.2e} "
+      f"(distance itself varies by {verdict.rho_spread:.3f})")
+print(f"  (iv)  binormal const      ok={binormal_ok} "
+      f"residual={verdict.gamma_spread:.2e} "
+      f"(max |tau| = {verdict.tau_abs_max:.3f})")
 
 spread = rectifying_drift(grid, verdict.m1, verdict.n1)
 print(f"\nconserved vector spread measured through re-analysis: "

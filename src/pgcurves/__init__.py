@@ -37,7 +37,6 @@ from .classify import (
     DegenerateFit,
     RectifyingVerdict,
     SingularFrame,
-    check_rectifying_properties,
     classify_rectifying,
     constant_invariant_jets,
     fit_constant_invariant,

@@ -44,8 +44,7 @@ __all__ = [
     "SingularFrame", "DegenerateFit",
     "FrameComponents", "FrameDecomposition", "frame_components",
     "frame_components_arrays", "RectifyingVerdict",
-    "classify_rectifying", "RectifyingPropertyReport",
-    "check_rectifying_properties",
+    "classify_rectifying",
     "ConstantInvariantFit", "constant_invariant_jets", "fit_constant_invariant",
     "DEFAULT_TOL_EXACT", "DEFAULT_TOL_SAMPLED",
 ]
@@ -117,6 +116,13 @@ class RectifyingVerdict:
     (a, b_coef) the least-squares line through tau/kappa against s.  With the
     sign convention fixed by the frame equations a = -1/n1 and
     b_coef = -m1/n1 for a true rectifying curve.
+
+    The residuals of the four signatures, for any verdict:
+    distance: rho_check = max | |q| - |(s+m1)^2 + e n1^2| |, q the squared
+    distance and e = <b, b>, while rho = sqrt|q| varies by rho_spread;
+    tangential: max |alpha - (s + m1)|;
+    normal_length: max | |normal part| - |n1| |;
+    binormal: gamma_spread = max |gamma - n1|, with tau_abs_max = max |tau|.
     """
 
     is_rectifying: bool
@@ -128,17 +134,27 @@ class RectifyingVerdict:
     ratio_residual: float
     rho_check: float
     gamma_spread: float
+    tangential_residual: float
+    normal_length_residual: float
+    rho_spread: float
+    tau_abs_max: float
     tol: float
 
+    def signature_checks(self, tol: float) -> tuple[bool, bool, bool, bool]:
+        """Whether the distance, tangential, normal-length and binormal signatures hold.
 
-def _squared_distance(dec: FrameDecomposition, m1: float, n1: float):
-    """<n,n>, <b,b>, q = |r - p0|^2 in the frame and max | |q| - |(s+m1)^2 + <b,b> n1^2| |."""
-    g = dec.grid
-    inner_nn = plane_product(g.n_y, g.n_z, g.n_y, g.n_z)
-    inner_bb = plane_product(g.b_y, g.b_z, g.b_y, g.b_z)
-    q = dec.alpha ** 2 + inner_nn * dec.beta ** 2 + inner_bb * dec.gamma ** 2
-    model = (g.s + m1) ** 2 + inner_bb * n1 ** 2
-    return inner_nn, inner_bb, q, float(np.max(np.abs(np.abs(q) - np.abs(model))))
+        Each residual must be within tol; the normal length also needs the
+        distance to vary, rho_spread > 10 tol, and the binormal a torsion that
+        does not vanish, tau_abs_max > tol.
+        """
+        return (self.rho_check <= tol,
+                self.tangential_residual <= tol,
+                self.normal_length_residual <= tol and self.rho_spread > 10.0 * tol,
+                self.gamma_spread <= tol and self.tau_abs_max > tol)
+
+    def signatures_hold(self, tol: float) -> bool:
+        """Whether all four signatures hold to tol."""
+        return all(self.signature_checks(tol))
 
 
 def classify_rectifying(dec: FrameDecomposition,
@@ -161,85 +177,29 @@ def classify_rectifying(dec: FrameDecomposition,
     m1 = float(np.mean(alpha - s))
     n1 = float(np.mean(gamma))
     gamma_spread = float(np.max(np.abs(gamma - n1)))
+    tangential_residual = float(np.max(np.abs(alpha - (s + m1))))
 
     ratio = grid.tau / grid.kappa
     a, b_coef = (float(c) for c in np.polyfit(s, ratio, 1))
     ratio_residual = float(np.max(np.abs(ratio - (a * s + b_coef))))
 
-    *_, rho_check = _squared_distance(dec, m1, n1)
+    inner_nn = plane_product(grid.n_y, grid.n_z, grid.n_y, grid.n_z)
+    inner_bb = plane_product(grid.b_y, grid.b_z, grid.b_y, grid.b_z)
+    q = alpha ** 2 + inner_nn * beta ** 2 + inner_bb * gamma ** 2
+    model = (s + m1) ** 2 + inner_bb * n1 ** 2
+    rho_check = float(np.max(np.abs(np.abs(q) - np.abs(model))))
+    rho = np.sqrt(np.abs(q))
+    normal_len = np.sqrt(np.abs(inner_nn * beta ** 2 + inner_bb * gamma ** 2))
 
     is_rectifying = bool(beta_max <= tol and abs(n1) > tol and abs(a) > tol)
     return RectifyingVerdict(
         is_rectifying=is_rectifying, m1=m1, n1=n1, a=a, b_coef=b_coef,
         beta_max=beta_max, ratio_residual=ratio_residual,
-        rho_check=rho_check, gamma_spread=gamma_spread, tol=float(tol))
-
-
-@dataclass(frozen=True)
-class RectifyingPropertyReport:
-    """Residual checks of the four rectifying-curve signatures.
-
-    distance: squared distance matches |(s+m1)^2 + e n1^2| with e = <b, b>.
-    tangential: alpha(s) - (s + m1) stays below tolerance.
-    normal_length: | |normal part| - |n1| | stays below tolerance while the
-    distance itself is non-constant.
-    binormal: gamma is constant and the torsion is not identically zero.
-    """
-
-    distance_ok: bool
-    distance_residual: float
-    tangential_ok: bool
-    tangential_residual: float
-    normal_length_ok: bool
-    normal_length_residual: float
-    rho_spread: float
-    binormal_ok: bool
-    binormal_residual: float
-    tau_abs_max: float
-    tol: float
-
-    @property
-    def all_ok(self) -> bool:
-        return (self.distance_ok and self.tangential_ok
-                and self.normal_length_ok and self.binormal_ok)
-
-
-def check_rectifying_properties(dec: FrameDecomposition,
-                                verdict: RectifyingVerdict,
-                                tol: float = 1e-5) -> RectifyingPropertyReport:
-    """Verify the four rectifying-curve signatures for a positive verdict."""
-    if not verdict.is_rectifying:
-        raise ValueError("property report requires a positive rectifying verdict")
-    s, alpha, beta, gamma = dec.grid.s, dec.alpha, dec.beta, dec.gamma
-    m1, n1 = verdict.m1, verdict.n1
-
-    inner_nn, inner_bb, q, distance_residual = _squared_distance(dec, m1, n1)
-
-    tangential_residual = float(np.max(np.abs(alpha - (s + m1))))
-
-    normal_sq = inner_nn * beta ** 2 + inner_bb * gamma ** 2
-    normal_len = np.sqrt(np.abs(normal_sq))
-    normal_length_residual = float(np.max(np.abs(normal_len - abs(n1))))
-    rho = np.sqrt(np.abs(q))
-    rho_spread = float(np.max(rho) - np.min(rho))
-
-    binormal_residual = float(np.max(np.abs(gamma - n1)))
-    tau_abs_max = float(np.max(np.abs(dec.grid.tau)))
-
-    return RectifyingPropertyReport(
-        distance_ok=bool(distance_residual <= tol),
-        distance_residual=distance_residual,
-        tangential_ok=bool(tangential_residual <= tol),
+        rho_check=rho_check, gamma_spread=gamma_spread,
         tangential_residual=tangential_residual,
-        normal_length_ok=bool(normal_length_residual <= tol
-                              and rho_spread > 10.0 * tol),
-        normal_length_residual=normal_length_residual,
-        rho_spread=rho_spread,
-        binormal_ok=bool(binormal_residual <= tol and tau_abs_max > tol),
-        binormal_residual=binormal_residual,
-        tau_abs_max=tau_abs_max,
-        tol=float(tol),
-    )
+        normal_length_residual=float(np.max(np.abs(normal_len - abs(n1)))),
+        rho_spread=float(np.max(rho) - np.min(rho)),
+        tau_abs_max=float(np.max(np.abs(grid.tau))), tol=float(tol))
 
 
 @dataclass(frozen=True)

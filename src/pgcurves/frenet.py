@@ -198,7 +198,7 @@ class FrenetGrid:
 
     def frame(self, i: int) -> FrenetData:
         if not self.ok[i]:
-            raise NotAdmissible(f"curve not admissible at s={self.s[i]!r}")
+            raise NotAdmissible(f"curve not admissible at s={float(self.s[i])!r}")
         return FrenetData(
             s=float(self.s[i]),
             t=PGVector3(1.0, float(self.t_y[i]), float(self.t_z[i])),
@@ -246,7 +246,7 @@ def frenet_grid(curve: CurveDef, s=None, tol_adm: float = DEFAULT_TOL_ADM,
         bad = s[~ok]
         raise NotAdmissible(
             f"y''^2 - z''^2 below {tol_adm:g} at {bad.size} grid point(s), "
-            f"first at s={bad[0]!r}")
+            f"first at s={float(bad[0])!r}")
 
     d_safe = np.where(ok, d, 1.0)
     eps = np.sign(d_safe)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import (
-    check_rectifying_properties,
     classify_rectifying,
     constant_invariant_jets,
     fit_constant_invariant,
@@ -264,12 +263,9 @@ def check_rectifying_suite(rng, draws: int = 50, step: float = 1e-3,
         worst_params = max(worst_params, abs(verdict.m1 - m1), abs(verdict.n1 - n1))
         worst_slope = max(worst_slope, abs(verdict.a * n1 + 1.0))
 
-        report = check_rectifying_properties(dec, verdict, tol=tol_properties)
-        all_props = all_props and report.all_ok
-        worst_prop = max(worst_prop, report.distance_residual,
-                         report.tangential_residual,
-                         report.normal_length_residual,
-                         report.binormal_residual)
+        all_props = all_props and verdict.signatures_hold(tol_properties)
+        worst_prop = max(worst_prop, verdict.rho_check, verdict.tangential_residual,
+                         verdict.normal_length_residual, verdict.gamma_spread)
 
         # these curves sit on the timelike-binormal branch: <b, b> = -1
         g = dec.grid

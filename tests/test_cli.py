@@ -11,8 +11,11 @@ import pytest
 
 import pgcurves.cli
 from pgcurves import spline
+from pgcurves.classify import classify_rectifying, frame_components_arrays
 from pgcurves.cli import main
-from pgcurves.frenet import CurveDef
+from pgcurves.fileio import load_curve
+from pgcurves.frenet import CurveDef, frenet_grid
+from pgcurves.space import ORIGIN, plane_product
 
 
 @pytest.fixture
@@ -205,6 +208,23 @@ class TestClassify:
         assert payload["parameters"]["m1"] == pytest.approx(0.0, abs=1e-5)
         assert payload["parameters"]["n1"] == pytest.approx(1.0, abs=1e-5)
         assert payload["constant_invariant"]["holds"] is False
+
+    def test_spacelike_binormal_mirror_is_rectifying(self, tmp_path):
+        # swapping y and z turns the timelike binormal spacelike (<b, b> = +1):
+        # the verdict and m1 stay, n1 and the slope a change sign
+        args = ("--m1=0.5", "--n1=1.2", "--kappa", "1", "--s-min", "-1.5", "--s-max", "0.5")
+        plain = _synthesize_and_classify(tmp_path, *args)
+        mirror = _synthesize_and_classify(tmp_path, *args, swap_yz=True)
+        assert mirror["verdict"] == plain["verdict"] == "rectifying"
+        p, q = mirror["parameters"], plain["parameters"]
+        assert (p["m1"], p["n1"], p["a"]) == (q["m1"], -q["n1"], -q["a"])
+        assert mirror["residuals"]["beta_max"] == plain["residuals"]["beta_max"]
+        assert mirror["residuals"]["rho_check"] == pytest.approx(
+            plain["residuals"]["rho_check"], rel=1e-3)
+        grid = frenet_grid(load_curve(tmp_path / "synth.csv"))
+        bb = plane_product(grid.b_y, grid.b_z, grid.b_y, grid.b_z)
+        np.testing.assert_allclose(bb, 1.0, atol=1e-9)
+        assert classify_rectifying(frame_components_arrays(grid, ORIGIN)).signatures_hold(1e-5)
 
     def test_synthesized_constant_invariant_curve_holds(self, tmp_path):
         payload = _synthesize_and_classify(tmp_path, "--kappa", "2", "--tau", "0.7",
@@ -480,6 +500,13 @@ class TestPlotData:
         np.testing.assert_allclose(ratio[:, 1], 1.0, atol=1e-9)
         beta = np.loadtxt(out_dir / "beta.dat")
         np.testing.assert_allclose(beta[:, 1], 1.0, atol=1e-9)
+
+    def test_inadmissible_location_is_a_plain_float(self, tmp_path, capfd):
+        curve = tmp_path / "lightlike.json"
+        curve.write_text(json.dumps({"y": "s^2", "z": "s^2", "s_min": 0.0, "s_max": 1.0}))
+        code = main(["plot-data", "--input", str(curve), "--output", str(tmp_path / "series")])
+        assert code == 2
+        assert capfd.readouterr().err.endswith("first at s=0.0\n")
 
     def test_affine_ratio_for_rectifying_output(self, tmp_path):
         curve_path = tmp_path / "synth.csv"

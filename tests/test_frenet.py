@@ -176,8 +176,11 @@ class TestFrameAt:
         assert det3(f.t, f.n, f.b) == pytest.approx(1.0, abs=1e-14)
 
     def test_not_admissible_raises(self):
-        with pytest.raises(NotAdmissible):
-            frame_at(curve_from_exprs("s", "0", 0.0, 1.0), 0.5)
+        line = curve_from_exprs("s", "0", 0.0, 1.0)
+        with pytest.raises(NotAdmissible, match=r"first at s=0\.5$"):
+            frame_at(line, 0.5)
+        with pytest.raises(NotAdmissible, match=r"^curve not admissible at s=0\.5$"):
+            frenet_grid(line, np.array([0.5]), strict=False).frame(0)
 
     def test_frame_invariants_across_corpus(self):
         for curve in CORPUS:

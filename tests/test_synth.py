@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pgcurves.classify import (
-    check_rectifying_properties,
     classify_rectifying,
     frame_components_arrays,
 )
@@ -168,16 +167,21 @@ class TestSynthRectifying:
         traj = synth_rectifying(0.5, 1.2, "1", (-1.5, 0.5), step=1e-3, margin=0.05)
         dec = _decompose(traj.to_curve(-1.5, 0.5))
         verdict = classify_rectifying(dec)
-        report = check_rectifying_properties(dec, verdict, tol=1e-5)
-        assert report.all_ok
+        assert verdict.signature_checks(1e-5) == (True, True, True, True)
+        assert verdict.signatures_hold(1e-5)
 
-    def test_property_report_requires_positive_verdict(self):
+    def test_negative_verdict_reports_signatures(self):
         from pgcurves.frenet import curve_from_exprs
 
+        # alpha = s, beta = 1 and gamma = -s: only the tangential signature
+        # holds, and tau/kappa = 1 has slope zero
         dec = _decompose(curve_from_exprs("cosh(s)", "sinh(s)", 0.0, 2.0))
         verdict = classify_rectifying(dec)
-        with pytest.raises(ValueError):
-            check_rectifying_properties(dec, verdict)
+        assert not verdict.is_rectifying
+        assert verdict.gamma_spread == pytest.approx(1.0, rel=1e-12)
+        assert verdict.tau_abs_max == pytest.approx(1.0, rel=1e-12)
+        assert verdict.signature_checks(1e-5) == (False, True, False, False)
+        assert not verdict.signatures_hold(1e-5)
 
     def test_invariant_spread_matches_drift(self):
         traj = synth_rectifying(0.0, 1.0, "1", (0.0, 2.0), step=1e-3, margin=0.05)

@@ -1,11 +1,12 @@
 """run_all's forked rectifying suite: byte-identical reports, process hygiene."""
 
+import json
 import os
 
 import numpy as np
 import pytest
 
-from pgcurves import verify
+from pgcurves import classify, verify
 from pgcurves.cli import main
 from pgcurves.dsl import DomainError, LexError, ParseError
 from pgcurves.fileio import dumps_json
@@ -90,6 +91,19 @@ def test_child_is_reaped_and_prints_nothing(tmp_path, monkeypatch, capfd):
     out, err = capfd.readouterr()
     assert out == ""
     assert "pgcurves: input error: log of a negative number" in err
+
+
+def test_negative_rectifying_verdict_fails_with_report(tmp_path, monkeypatch, capfd):
+    # a sampled-path tolerance no round trip meets: every rectifying verdict
+    # is negative, and the report still says so
+    monkeypatch.setattr(classify, "DEFAULT_TOL_SAMPLED", 1e-12)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--seed", "0", "--output", str(out)]) == 3
+    _assert_no_child_left()
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["rectifying_beta"]["passed"] is False
+    assert checks["rectifying_beta"]["worst"] > 1e-12
+    assert capfd.readouterr().err == ""
 
 
 def test_child_without_result(monkeypatch):
