@@ -14,16 +14,24 @@ and -0.  Non-finite values, magnitudes outside [1e-250, 1e270] and values
 within 1e-6 of a rounding tie go to format_float, the scalar formatter and
 the tests' reference.  A FloatColumn keeps a column's strings, so the analyze
 CSV and its JSON rows (a FloatTable) share one formatting of each column, and
-plot-data formats s once for all of its series.  JSON rows and series are
+plot-data formats s once for all of its series.  A FloatTable given one array
+as two columns also formats it once: a synthesized trajectory's b_y and b_z
+are its n_z and n_y.  JSON rows and series are
 joined column by column.  The generic recursive dump serves small payloads
 and is the reference the columnar path must match byte for byte.
 
 Curve definitions are JSON objects {"param", "y", "z", "s_min", "s_max"} with
 an optional "samples"; sampled curves are CSV files with columns s, x, y, z
-and optional appended frame columns t_y, t_z, n_y, n_z, b_y, b_z.
+and optional appended frame columns t_y, t_z, n_y, n_z, b_y, b_z.  Only s, x,
+y and z are parsed.  The commas of every line are counted, so a row wider or
+narrower than the header is reported with its line number; bad samples (too
+few, not finite, s not increasing, x not s plus a constant) with their line
+and s.
 """
 
 import functools
+import io
+import itertools
 import json
 import math
 import warnings
@@ -31,7 +39,7 @@ import warnings
 import numpy as np
 
 from .dsl import parse_expr
-from .frenet import CurveDef, FrenetGrid, curve_from_exprs, curve_from_samples
+from .frenet import CurveDef, FrenetGrid, SampleError, curve_from_exprs, curve_from_samples
 
 __all__ = [
     "format_float", "format_floats", "FloatColumn", "FloatTable",
@@ -256,12 +264,15 @@ class FloatTable:
     """Named float columns of equal length: a CSV table or a list of JSON rows.
 
     dumps_json writes a FloatTable byte for byte like the list of row dicts
-    [{name: float(column[i]) for each column} for each row i].
+    [{name: float(column[i]) for each column} for each row i].  An array
+    passed as two columns becomes one FloatColumn, formatted once.
     """
 
     def __init__(self, names, columns):
         self.names = tuple(names)
-        self.columns = [FloatColumn(col) for col in columns]
+        columns = list(columns)  # keeps each id taken below unique
+        shared = {id(col): FloatColumn(col) for col in columns}
+        self.columns = [shared[id(col)] for col in columns]
 
 
 def _text(column) -> list[str]:
@@ -371,35 +382,66 @@ def load_curve_json(path) -> CurveDef:
                             s_min, s_max, samples=samples)
 
 
-def _row_width_error(handle, width: int) -> str | None:
-    """Where the first data row of an open CSV differs in width from its header."""
-    handle.seek(0)
-    next(handle)
-    for number, line in enumerate(handle, 2):
+def _data_lines(body: bytes):
+    """(line number, text) of each data line of a CSV body that starts at
+    line 2: the lines not blank once a # comment is cut, as loadtxt reads."""
+    for number, line in enumerate(body.decode("utf-8", "replace").split("\n"), 2):
         text = line.split("#", 1)[0]
-        if text.strip() and (fields := text.count(",") + 1) != width:
+        if text.strip():
+            yield number, text
+
+
+def _row_width_error(body: bytes, width: int) -> str | None:
+    """Where the first data row of a CSV body differs in width from its header."""
+    for number, text in _data_lines(body):
+        if (fields := text.count(",") + 1) != width:
             return (f"row width does not match the header at line {number} "
                     f"({fields} fields, header has {width})")
     return None
 
 
+def _widths_match(body: bytes, width: int) -> bool:
+    """Whether every line of a CSV body holds width - 1 commas.
+
+    A blank or comment line fails this without being a wrong width, so a
+    False is settled by _row_width_error.
+    """
+    text = np.frombuffer(body, dtype=np.uint8)
+    line_of_comma = np.searchsorted(np.flatnonzero(text == ord("\n")),
+                                    np.flatnonzero(text == ord(",")))
+    return bool(np.all(np.bincount(line_of_comma) == width - 1))
+
+
 def load_curve_csv(path) -> CurveDef:
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().strip()
-        names = [c.strip() for c in header.split(",")]
-        if names[:4] != ["s", "x", "y", "z"]:
-            raise ValueError(f"{path}: expected columns s,x,y,z, got {names[:4]}")
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            try:
-                data = np.loadtxt(handle, delimiter=",", ndmin=2)
-            except ValueError as err:
-                raise ValueError(f"{path}: {_row_width_error(handle, len(names)) or err}") from err
+    """Load a sampled curve from the s, x, y and z columns of a CSV file.
+
+    Only those four columns are parsed; the others are counted, so a row of
+    the wrong width is still reported with its line.  Bad samples are
+    reported with their line and s.
+    """
+    with open(path, "rb") as handle:
+        header, _, body = handle.read().partition(b"\n")
+    names = [c.strip() for c in header.decode("utf-8").split(",")]
+    if names[:4] != ["s", "x", "y", "z"]:
+        raise ValueError(f"{path}: expected columns s,x,y,z, got {names[:4]}")
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            data = np.loadtxt(io.BytesIO(body), delimiter=",", usecols=(0, 1, 2, 3),
+                              ndmin=2, encoding="utf-8")
+        except ValueError as err:
+            raise ValueError(f"{path}: {_row_width_error(body, len(names)) or err}") from err
+    if not _widths_match(body, len(names)) and (error := _row_width_error(body, len(names))):
+        raise ValueError(f"{path}: {error}")
     if data.size == 0:
         raise ValueError(f"{path}: the file has no samples")
-    if data.shape[1] != len(names):
-        raise ValueError(f"{path}: row width does not match the header")
-    return curve_from_samples(data[:, 0], data[:, 2], data[:, 3], x=data[:, 1])
+    try:
+        return curve_from_samples(data[:, 0], data[:, 2], data[:, 3], x=data[:, 1])
+    except SampleError as err:
+        if err.row is None:
+            raise ValueError(f"{path}: {err} (the file has {len(data)})") from err
+        number, _ = next(itertools.islice(_data_lines(body), err.row, None))
+        raise ValueError(f"{path}: line {number} (s={float(data[err.row, 0])!r}): {err}") from err
 
 
 def load_curve(path) -> CurveDef:

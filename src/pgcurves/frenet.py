@@ -39,7 +39,7 @@ _TOL_X = 1e-9
 _TOL_RANGE = 1e-12
 
 __all__ = [
-    "DEFAULT_TOL_ADM", "NotAdmissible", "SampledComponents", "CurveDef",
+    "DEFAULT_TOL_ADM", "NotAdmissible", "SampleError", "SampledComponents", "CurveDef",
     "curve_from_exprs", "curve_from_samples", "FrenetData", "FrenetGrid",
     "AdmissibilityReport", "check_admissible", "frenet_grid", "frame_at",
     "torsion_det", "frenet_residuals",
@@ -48,6 +48,17 @@ __all__ = [
 
 class NotAdmissible(Exception):
     """The curve violates an admissibility requirement at some parameter."""
+
+
+class SampleError(ValueError):
+    """Samples that define no sampled curve; row indexes the offending sample.
+
+    row is None when no one sample is at fault (too few samples).
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class SampledComponents:
@@ -62,9 +73,14 @@ class SampledComponents:
         if s.ndim != 1 or s.shape != y.shape or s.shape != z.shape:
             raise ValueError("samples must be matching 1-d arrays")
         if s.size < 6:
-            raise ValueError("need at least 6 samples for a quintic spline")
-        if np.any(np.diff(s) <= 0):
-            raise ValueError("sample parameters must be strictly increasing")
+            raise SampleError("need at least 6 samples for a quintic spline")
+        finite = np.isfinite(s) & np.isfinite(y) & np.isfinite(z)
+        if not finite.all():
+            raise SampleError("spline samples must be finite", int(np.argmin(finite)))
+        rising = np.diff(s) > 0
+        if not rising.all():
+            raise SampleError("sample parameters must be strictly increasing",
+                              int(np.argmin(rising)) + 1)
         self._knots, c = spline.interpolate(s, np.column_stack([y, z]))
         self._coefs = spline.derivatives(self._knots, c, 3)
         self.s_range = (float(s[0]), float(s[-1]))
@@ -139,17 +155,22 @@ def curve_from_samples(s, y, z, x=None) -> CurveDef:
 
     If x is given it must equal s plus a constant (graph form with the
     parameter as arc length); the constant becomes the curve's x_offset.
+    Bad samples raise SampleError, whose row is the first non-finite or
+    non-increasing sample, or the x farthest from s plus the mean offset.
     """
     s = np.asarray(s, dtype=float)
+    sampled = SampledComponents(s, y, z)
     x_offset = 0.0
     if x is not None:
-        x = np.asarray(x, dtype=float)
-        offsets = x - s
+        offsets = np.asarray(x, dtype=float) - s
         x_offset = float(np.mean(offsets))
-        if np.max(np.abs(offsets - x_offset)) > _TOL_X:
-            raise ValueError("x must equal s plus a constant: curves are in graph form")
-    return CurveDef(None, None, float(s[0]), float(s[-1]), int(s.size), x_offset,
-                    SampledComponents(s, y, z))
+        deviation = np.abs(offsets - x_offset)
+        if not np.max(deviation) <= _TOL_X:
+            finite = np.isfinite(offsets)
+            row = np.argmin(finite) if not finite.all() else np.argmax(deviation)
+            raise SampleError("x must equal s plus a constant: curves are in graph form",
+                              int(row))
+    return CurveDef(None, None, float(s[0]), float(s[-1]), int(s.size), x_offset, sampled)
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,10 @@ def integrate_frenet(p: InvariantProfile, step: float = 1e-3,
     and positive, InvalidProfile when kappa is not positive on the sample
     grid, and DomainError when a profile cannot be evaluated on the range or
     the position or frame overflows.
+
+    Since b = (sinh theta, cosh theta) = (n_z, n_y), the trajectory's b_y
+    and b_z are its n_z and n_y arrays themselves, not copies, and a writer
+    that shares columns by identity formats them once.
     """
     if not 0.0 < step < math.inf:
         raise ValueError("step must be finite and positive")
@@ -167,9 +171,8 @@ def integrate_frenet(p: InvariantProfile, step: float = 1e-3,
     # a fast-growing theta overflows cosh and sinh; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         theta = _antiderivative(tau, h)
-        ch, sh = np.cosh(theta), np.sinh(theta)
-        n = np.column_stack([ch, sh])
-        b = np.column_stack([sh, ch])
+        # column-major, so each quadrature runs down contiguous columns
+        n = np.array([np.cosh(theta), np.sinh(theta)]).T
         t = _antiderivative(kappa[:, None] * n, h)
         yz = np.array([r0.y, r0.z]) + _antiderivative(t, h)
 
@@ -179,10 +182,9 @@ def integrate_frenet(p: InvariantProfile, step: float = 1e-3,
         raise DomainError("synthesized position or frame is not finite "
                           f"from s={float(s[np.argmin(finite)])!r}")
     r = np.column_stack([r0.x + (s - p.s_min), yz[::2]])
-    return FrenetTrajectory(s=s, r=r,
-                            t_y=t[::2, 0], t_z=t[::2, 1],
-                            n_y=n[::2, 0], n_z=n[::2, 1],
-                            b_y=b[::2, 0], b_z=b[::2, 1])
+    n_y, n_z = n[::2, 0], n[::2, 1]
+    return FrenetTrajectory(s=s, r=r, t_y=t[::2, 0], t_z=t[::2, 1],
+                            n_y=n_y, n_z=n_z, b_y=n_z, b_z=n_y)
 
 
 def synth_rectifying(m1: float, n1: float, kappa, s_range,

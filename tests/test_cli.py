@@ -128,7 +128,8 @@ class TestAnalyze:
         assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
     @pytest.mark.parametrize("rows, message", [
-        ("0,0,1,0,7\n1,1,2,0,9\n", "row width does not match the header"),
+        ("0,0,1,0,7\n1,1,2,0,9\n",
+         "row width does not match the header at line 2 (5 fields, header has 4)"),
         ("0,0,1,0\n1,1,2,0,9\n2,2,5,0\n",
          "row width does not match the header at line 3 (5 fields, header has 4)"),
         ("0,0,1,0\n1,1,2,0\n2,2,5\n",
@@ -137,6 +138,57 @@ class TestAnalyze:
     def test_csv_row_width_exit_1(self, tmp_path, capsys, rows, message):
         bad = tmp_path / "bad.csv"
         bad.write_text("s,x,y,z\n" + rows)
+        code = main(["analyze", "--input", str(bad),
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert f"pgcurves: input error: {bad}: {message}" in capsys.readouterr().err
+
+    # ten columns, as synthesize --frames writes; the unread columns are
+    # counted, and a short row and a long row whose widths cancel in the
+    # total are still found
+    @pytest.mark.parametrize("widths, message", [
+        ({3: 7, 5: 11}, "at line 5 (7 fields, header has 10)"),
+        ({3: 7, 5: 13}, "at line 5 (7 fields, header has 10)"),
+    ], ids=["short-and-long", "widths-cancel"])
+    def test_frames_csv_row_width_exit_1(self, tmp_path, capsys, widths, message):
+        rows = [",".join([f"{i / 10}", f"{i / 10}", f"{i * i / 100}", "0"]
+                         + [str(k) for k in range(widths.get(i, 10) - 4)])
+                for i in range(12)]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("s,x,y,z,t_y,t_z,n_y,n_z,b_y,b_z\n" + "\n".join(rows) + "\n")
+        code = main(["analyze", "--input", str(bad),
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert (f"pgcurves: input error: {bad}: row width does not match the header {message}"
+                in capsys.readouterr().err)
+
+    def test_comment_with_commas_is_not_a_width_error(self, tmp_path, cosh_sinh_csv):
+        lines = cosh_sinh_csv.read_text().splitlines(keepends=True)
+        commented = tmp_path / "commented.csv"
+        commented.write_text("".join(lines[:3] + ["# a, b, c\n", "\n"] + lines[3:]))
+        for path, name in ((cosh_sinh_csv, "plain"), (commented, "commented")):
+            assert main(["analyze", "--input", str(path),
+                         "--output", str(tmp_path / "out" / name)]) == 0
+        assert ((tmp_path / "out" / "plain.csv").read_bytes()
+                == (tmp_path / "out" / "commented.csv").read_bytes())
+
+    # line 7 holds the sample at s = 0.5; the good rows have x = s + 0.5
+    @pytest.mark.parametrize("row, count, message", [
+        ("0.5,1.0,nan,0.02", 20, "line 7 (s=0.5): spline samples must be finite"),
+        ("0.5,1.0,inf,0.02", 20, "line 7 (s=0.5): spline samples must be finite"),
+        ("0.5,1.0,0.25,0.02", 4, "need at least 6 samples for a quintic spline "
+                                 "(the file has 4)"),
+        ("0.5,1.5,0.25,0.02", 20, "line 7 (s=0.5): x must equal s plus a constant"),
+        ("0.5,nan,0.25,0.02", 20, "line 7 (s=0.5): x must equal s plus a constant"),
+        ("0.35,0.85,0.1225,0.007", 20,
+         "line 7 (s=0.35): sample parameters must be strictly increasing"),
+    ], ids=["nan-y", "inf-y", "too-few", "x-off", "nan-x", "not-increasing"])
+    def test_csv_bad_samples_exit_1(self, tmp_path, capsys, row, count, message):
+        rows = [f"{i / 10},{i / 10 + 0.5},{(i / 10) ** 2},{(i / 10) ** 3 / 6}"
+                for i in range(20)]
+        rows[5] = row
+        bad = tmp_path / "bad.csv"
+        bad.write_text("s,x,y,z\n" + "\n".join(rows[:count]) + "\n")
         code = main(["analyze", "--input", str(bad),
                      "--output", str(tmp_path / "out")])
         assert code == 1

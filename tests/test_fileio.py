@@ -25,7 +25,7 @@ from pgcurves.fileio import (
     write_series,
     write_trajectory_csv,
 )
-from pgcurves.frenet import frenet_grid
+from pgcurves.frenet import SampleError, curve_from_samples, frenet_grid
 from pgcurves.synth import integrate_frenet, profile
 
 
@@ -221,6 +221,22 @@ class TestFloatTable:
         assert path.read_text() == "".join(f"{format_float(a)} {format_float(b)}\n"
                                            for a, b in zip(s, values))
 
+    def test_column_passed_twice_is_formatted_once(self, tmp_path, monkeypatch):
+        columns = self._columns(9)
+        calls = []
+
+        def spy(values):
+            calls.append(values)
+            return format_floats(values)
+
+        monkeypatch.setattr(fileio, "format_floats", spy)
+        table = FloatTable(("a", "b", "c", "d", "e"), columns + [columns[1]])
+        assert table.columns[1] is table.columns[4]
+        _write_table(tmp_path / "table.csv", table)
+        assert len(calls) == 4
+        lines = (tmp_path / "table.csv").read_text().splitlines()
+        assert all(row.split(",")[1] == row.split(",")[4] for row in lines[1:])
+
     def test_csv_and_json_share_strings(self, cosh_sinh_report):
         json_rows = json.loads((cosh_sinh_report / "report.json").read_text(),
                                parse_float=str, parse_int=str)["rows"]
@@ -274,6 +290,46 @@ class TestCurveFiles:
         grid = frenet_grid(curve, np.linspace(0.1, 1.9, 50))
         assert np.max(np.abs(grid.kappa - 1.0)) <= 1e-4
         assert np.max(np.abs(grid.tau - 1.0)) <= 1e-4
+
+    def test_frames_columns_are_not_parsed(self, tmp_path):
+        traj = integrate_frenet(profile("1 + s^2/10", "0.7", 0.0, 2.0), step=1e-3)
+        frames, cut = tmp_path / "frames.csv", tmp_path / "cut.csv"
+        write_trajectory_csv(frames, traj, frames=True)
+        lines = frames.read_text().splitlines()
+        cut.write_text("".join(",".join(line.split(",")[:4]) + "\n" for line in lines))
+        # a value in a column that is not parsed is not checked either
+        fields = lines[3].split(",")
+        lines[3] = ",".join(fields[:6] + ["not-a-number"] + fields[7:])
+        frames.write_text("\n".join(lines) + "\n")
+        a, b = load_curve_csv(frames), load_curve_csv(cut)
+        assert (a.s_min, a.s_max, a.samples, a.x_offset) == (b.s_min, b.s_max,
+                                                              b.samples, b.x_offset)
+        s = np.linspace(0.0, 2.0, 301)
+        for ja, jb in zip(a.jets(s), b.jets(s)):
+            for order in ("v", "d1", "d2", "d3"):
+                assert np.array_equal(getattr(ja, order), getattr(jb, order))
+
+    def test_binormal_columns_are_the_normal_columns_swapped(self, tmp_path):
+        traj = integrate_frenet(profile("1", "-1.5", 0.0, 1.0), step=1e-2)
+        assert traj.b_y is traj.n_z and traj.b_z is traj.n_y
+        path = tmp_path / "frames.csv"
+        write_trajectory_csv(path, traj, frames=True)
+        lines = path.read_text().splitlines()
+        names = lines[0].split(",")
+        rows = [dict(zip(names, line.split(","))) for line in lines[1:]]
+        assert len(rows) == 101
+        assert all(row["b_y"] == row["n_z"] and row["b_z"] == row["n_y"] for row in rows)
+
+    def test_bad_samples_keep_their_message_for_library_callers(self):
+        s = np.linspace(0.0, 1.0, 11)
+        y = s ** 2
+        y[4] = math.nan
+        with pytest.raises(SampleError, match="^spline samples must be finite$") as err:
+            curve_from_samples(s, y, s ** 3, x=s)
+        assert err.value.row == 4
+        with pytest.raises(SampleError, match="^x must equal s plus a constant") as err:
+            curve_from_samples(s, s ** 2, s ** 3, x=s + (s == s[7]))
+        assert err.value.row == 7
 
     def test_csv_header_validation(self, tmp_path):
         path = tmp_path / "bad.csv"
