@@ -26,8 +26,8 @@ from .classify import (
 from .dsl import DomainError, LexError, ParseError
 from .fileio import (
     FloatColumn,
+    frenet_table,
     load_curve,
-    write_frenet_csv,
     write_json,
     write_series,
     write_trajectory_csv,
@@ -165,8 +165,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     base = _output_base(args.output)
     base.parent.mkdir(parents=True, exist_ok=True)
-    # The JSON rows reuse the strings formatted for the CSV.
-    rows = write_frenet_csv(base.with_suffix(".csv"), grid)
     payload = {
         "schema": 1,
         "command": "analyze",
@@ -176,7 +174,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "exact_path": curve.exact,
         "tolerances": {"tol_adm": args.tol_adm},
         "admissibility": _admissibility_payload(report_adm),
-        "rows": rows,
+        # written with the CSV, a block of rows at a time, from one
+        # formatting of each value
+        "rows": frenet_table(grid, csv=base.with_suffix(".csv")),
     }
     write_json(base.with_suffix(".json"), payload)
     return EXIT_OK if report_adm.admissible else EXIT_ADMISSIBILITY

@@ -6,19 +6,22 @@ files (17 significant digits also round-trip IEEE doubles exactly).  JSON is
 strict: a non-finite float is written as null.  CSV and .dat tables keep
 format_float's NaN, Infinity and -Infinity.
 
-Float tables are serialized column by column.  format_floats formats a whole
-column with a numpy kernel that writes the bytes of format(x, ".17g"): the 17
-digits are an exactly rounded double-double product with a power of ten, and
-a table of byte masks lays them out as %g does; two more mask rows write 0
-and -0.  Non-finite values, magnitudes outside [1e-250, 1e270] and values
-within 1e-6 of a rounding tie go to format_float, the scalar formatter and
-the tests' reference.  A FloatColumn keeps a column's strings, so the analyze
-CSV and its JSON rows (a FloatTable) share one formatting of each column, and
-plot-data formats s once for all of its series.  A FloatTable given one array
-as two columns also formats it once: a synthesized trajectory's b_y and b_z
-are its n_z and n_y.  JSON rows and series are
-joined column by column.  The generic recursive dump serves small payloads
-and is the reference the columnar path must match byte for byte.
+Float tables are written in blocks of _BLOCK (2,048) rows: for each block,
+each distinct column's slice is formatted once, that block's rows are joined
+and written, and its strings are dropped; of a table's text only plot-data's
+s column is ever held whole.  format_floats formats a column with a numpy
+kernel that writes the bytes of format(x, ".17g"): the 17 digits are an
+exactly rounded double-double product with a power of ten, and a table of
+byte masks lays them out as %g does; two more mask rows write 0 and -0.
+Non-finite values, magnitudes outside [1e-250, 1e270] and values within 1e-6
+of a rounding tie go to format_float, the scalar formatter and the tests'
+reference.  What is formatted once: analyze writes its CSV and its JSON rows (one FloatTable) in
+lockstep from the same block strings, with null in the JSON for each
+non-finite value; a FloatTable given one array as two columns formats it
+once, as a synthesized trajectory's b_y and b_z are its n_z and n_y; and
+plot-data's s, a FloatColumn, is formatted whole, once, for its four series.
+The generic recursive dump serves small payloads and is the reference the
+block writer must match byte for byte.
 
 Curve definitions are JSON objects {"param", "y", "z", "s_min", "s_max"} with
 an optional "samples"; sampled curves are CSV files with columns s, x, y, z
@@ -34,6 +37,7 @@ import io
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -45,7 +49,7 @@ __all__ = [
     "format_float", "format_floats", "FloatColumn", "FloatTable",
     "dumps_json", "write_json",
     "load_curve_json", "load_curve_csv", "load_curve",
-    "write_trajectory_csv", "write_frenet_csv", "write_series",
+    "write_trajectory_csv", "frenet_table", "write_frenet_csv", "write_series",
     "FRENET_COLUMNS",
 ]
 
@@ -234,49 +238,59 @@ def _format_block(x) -> list[str]:
 
 
 class FloatColumn:
-    """A float column whose strings are formatted once, on first use.
-
-    Writers given the same FloatColumn share its strings.
-    """
+    """A float column formatted whole, once, on first use, for every table
+    given it (plot-data's s); table columns are otherwise formatted a block
+    at a time."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
-        self._text = None
 
+    @functools.cached_property
     def text(self) -> list[str]:
         """format_float of every value."""
-        if self._text is None:
-            self._text = format_floats(self.values)
-        return self._text
-
-    def json_text(self) -> list[str]:
-        """text() with null in place of each non-finite value."""
-        text = self.text()
-        bad = np.flatnonzero(~np.isfinite(self.values)).tolist()
-        if bad:
-            text = list(text)
-            for i in bad:
-                text[i] = "null"
-        return text
+        return format_floats(self.values)
 
 
 class FloatTable:
     """Named float columns of equal length: a CSV table or a list of JSON rows.
 
     dumps_json writes a FloatTable byte for byte like the list of row dicts
-    [{name: float(column[i]) for each column} for each row i].  An array
-    passed as two columns becomes one FloatColumn, formatted once.
+    [{name: float(column[i]) for each column} for each row i].  A column is
+    an array or a FloatColumn; one passed as two columns is formatted once.
+    Given a csv path, dumping the table as JSON rows also writes it there as
+    CSV, each block of rows from the same strings.
     """
 
-    def __init__(self, names, columns):
+    def __init__(self, names, columns, csv=None):
         self.names = tuple(names)
+        self.csv = csv
         columns = list(columns)  # keeps each id taken below unique
-        shared = {id(col): FloatColumn(col) for col in columns}
-        self.columns = [shared[id(col)] for col in columns]
+        distinct = {id(column): column for column in columns}
+        # names[j] is the distinct column columns[index[j]]
+        self.index = [list(distinct).index(id(column)) for column in columns]
+        self.columns = [c if isinstance(c, FloatColumn) else np.asarray(c, dtype=float)
+                        for c in distinct.values()]
+        self.rows = len(getattr(self.columns[0], "values", self.columns[0])) if columns else 0
 
 
-def _text(column) -> list[str]:
-    return column.text() if isinstance(column, FloatColumn) else format_floats(column)
+def _blocks(table: FloatTable):
+    """(start, values, text) for each block of _BLOCK rows from row start:
+    the values and the strings of each distinct column, each formatted once;
+    a FloatColumn lends its strings."""
+    for start in range(0, table.rows, _BLOCK):
+        values = [getattr(c, "values", c)[start:start + _BLOCK] for c in table.columns]
+        yield start, values, [c.text[start:start + _BLOCK] if isinstance(c, FloatColumn)
+                              else format_floats(v) for c, v in zip(table.columns, values)]
+
+
+def _json_text(values, text) -> list[str]:
+    """text with null in place of each non-finite value."""
+    bad = np.flatnonzero(~np.isfinite(values)).tolist()
+    if bad:
+        text = list(text)
+        for i in bad:
+            text[i] = "null"
+    return text
 
 
 def _join_rows(columns, heads, tail) -> str:
@@ -291,21 +305,48 @@ def _join_rows(columns, heads, tail) -> str:
     return "".join(parts)
 
 
-def _dump_rows(table: FloatTable, pad: str, out: list):
-    """A FloatTable as _dump writes a list of row dicts."""
-    columns = [col.json_text() for col in table.columns]
-    if not columns or not columns[0]:
-        out.append("[]")
-        return
-    heads = [f",\n{pad}    {json.dumps(name)}: " for name in table.names]
-    heads[0] = f"{pad}  {{\n{pad}    {json.dumps(table.names[0])}: "
-    rows = _join_rows(columns, heads, f"\n{pad}  }},\n")
-    out.append("[\n")
-    out.append(rows[:-2])  # the last row takes no comma
-    out.append("\n" + pad + "]")
+def _write_rows(table: FloatTable, csv=None, out=None, pad=""):
+    """Write a table's rows a block at a time: as CSV lines to the text file
+    csv, and as _dump writes a list of row dicts to the parts out, flushed
+    after each block.  Both take each block's strings from one formatting."""
+    if out is not None:
+        if not table.rows:
+            out.append("[]")
+            return
+        heads = [f",\n{pad}    {json.dumps(name)}: " for name in table.names]
+        heads[0] = f"{pad}  {{\n{pad}    {json.dumps(table.names[0])}: "
+        tail = f"\n{pad}  }},\n"
+        out.append("[\n")
+    for start, values, text in _blocks(table):
+        if csv is not None:
+            # joined row by row: faster than _join_rows at 10 and more
+            # columns, slower at the 2 of a series
+            csv.write("\n".join(map(",".join, zip(*(text[i] for i in table.index)))) + "\n")
+        if out is not None:
+            text = [_json_text(v, t) for v, t in zip(values, text)]
+            rows = _join_rows([text[i] for i in table.index], heads, tail)
+            # the last row takes no comma
+            out.append(rows if start + _BLOCK < table.rows else rows[:-2])
+            out.flush()
+    if out is not None:
+        out.append("\n" + pad + "]")
 
 
-def _dump(obj, indent: int, out: list):
+class _Parts(list):
+    """The parts of a JSON text; given a text file, each flush writes them
+    there and starts over, so a long table never sits in memory whole."""
+
+    def __init__(self, handle=None):
+        super().__init__()
+        self.handle = handle
+
+    def flush(self):
+        if self.handle is not None:
+            self.handle.write("".join(self))
+            self.clear()
+
+
+def _dump(obj, indent: int, out: _Parts):
     pad = "  " * indent
     if obj is None:
         out.append("null")
@@ -338,23 +379,29 @@ def _dump(obj, indent: int, out: list):
             _dump(value, indent + 1, out)
             out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(pad + "]")
+    elif isinstance(obj, FloatTable) and obj.csv is not None:
+        _write_table(obj.csv, obj, out, pad)
     elif isinstance(obj, FloatTable):
-        _dump_rows(obj, pad, out)
+        _write_rows(obj, out=out, pad=pad)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_json(obj) -> str:
     """Serialize a report deterministically (fixed float format, stable order)."""
-    out: list[str] = []
+    out = _Parts()
     _dump(obj, 0, out)
     out.append("\n")
     return "".join(out)
 
 
 def write_json(path, obj):
+    """Write dumps_json(obj) to path; a FloatTable is written a block at a time."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_json(obj))
+        out = _Parts(handle)
+        _dump(obj, 0, out)
+        out.append("\n")
+        out.flush()
 
 
 def load_curve_json(path) -> CurveDef:
@@ -389,6 +436,12 @@ def _data_lines(body: bytes):
         text = line.split("#", 1)[0]
         if text.strip():
             yield number, text
+
+
+def _line_of(body: bytes, row: int) -> int:
+    """The line number of data row `row` (from 0) of a CSV body."""
+    number, _ = next(itertools.islice(_data_lines(body), row, None))
+    return number
 
 
 def _row_width_error(body: bytes, width: int) -> str | None:
@@ -430,7 +483,10 @@ def load_curve_csv(path) -> CurveDef:
             data = np.loadtxt(io.BytesIO(body), delimiter=",", usecols=(0, 1, 2, 3),
                               ndmin=2, encoding="utf-8")
         except ValueError as err:
-            raise ValueError(f"{path}: {_row_width_error(body, len(names)) or err}") from err
+            # loadtxt counts data rows from 0; name the line instead
+            message = _row_width_error(body, len(names)) or re.sub(
+                r"\bat row (\d+)", lambda m: f"at line {_line_of(body, int(m[1]))}", str(err))
+            raise ValueError(f"{path}: {message}") from err
     if not _widths_match(body, len(names)) and (error := _row_width_error(body, len(names))):
         raise ValueError(f"{path}: {error}")
     if data.size == 0:
@@ -440,8 +496,8 @@ def load_curve_csv(path) -> CurveDef:
     except SampleError as err:
         if err.row is None:
             raise ValueError(f"{path}: {err} (the file has {len(data)})") from err
-        number, _ = next(itertools.islice(_data_lines(body), err.row, None))
-        raise ValueError(f"{path}: line {number} (s={float(data[err.row, 0])!r}): {err}") from err
+        raise ValueError(f"{path}: line {_line_of(body, err.row)} "
+                         f"(s={float(data[err.row, 0])!r}): {err}") from err
 
 
 def load_curve(path) -> CurveDef:
@@ -454,10 +510,12 @@ def load_curve(path) -> CurveDef:
     raise ValueError(f"{path}: expected a .json curve definition or .csv samples")
 
 
-def _write_table(path, table: FloatTable):
-    rows = map(",".join, zip(*(col.text() for col in table.columns)))
+def _write_table(path, table: FloatTable, out=None, pad=""):
+    """Write a table as CSV to path and, given JSON parts out, its JSON rows
+    along with it (see _write_rows)."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join([",".join(table.names), *rows]) + "\n")
+        handle.write(",".join(table.names) + "\n")
+        _write_rows(table, csv=handle, out=out, pad=pad)
 
 
 def write_trajectory_csv(path, traj, frames: bool = False):
@@ -470,14 +528,15 @@ def write_trajectory_csv(path, traj, frames: bool = False):
     _write_table(path, FloatTable(names, columns))
 
 
-def write_frenet_csv(path, grid: FrenetGrid) -> FloatTable:
-    """Write the frame apparatus table (x components omitted: always 1, 0, 0).
+def frenet_table(grid: FrenetGrid, csv=None) -> FloatTable:
+    """The frame apparatus table (x components omitted: always 1, 0, 0); see
+    FloatTable for csv."""
+    return FloatTable(FRENET_COLUMNS, [getattr(grid, name) for name in FRENET_COLUMNS], csv)
 
-    Returns the table with its columns formatted, for reuse as JSON rows.
-    """
-    table = FloatTable(FRENET_COLUMNS, [getattr(grid, name) for name in FRENET_COLUMNS])
-    _write_table(path, table)
-    return table
+
+def write_frenet_csv(path, grid: FrenetGrid):
+    """Write the frame apparatus table as CSV."""
+    _write_table(path, frenet_table(grid))
 
 
 def write_series(path, s, values):
@@ -486,5 +545,7 @@ def write_series(path, s, values):
     s and values are float arrays or FloatColumns; series that share s as one
     FloatColumn format it once.
     """
+    table = FloatTable(("s", "value"), [s, values])
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_join_rows([_text(s), _text(values)], ("", " "), "\n"))
+        for _, _, text in _blocks(table):
+            handle.write(_join_rows([text[i] for i in table.index], ("", " "), "\n"))

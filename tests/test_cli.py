@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,18 @@ class TestAnalyze:
         assert code == 1
         assert f"pgcurves: input error: {bad}: {message}" in capsys.readouterr().err
 
+    # loadtxt counts data rows from 0, past comment and blank lines; the
+    # report names the file line
+    def test_csv_bad_value_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("s,x,y,z\n0,0,1,0\n# note\n\n1,1,2,abc\n")
+        code = main(["analyze", "--input", str(bad),
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"pgcurves: input error: {bad}: could not convert string 'abc'" in err
+        assert "at line 5, column 4" in err and "row" not in err
+
     @pytest.mark.parametrize("y, node", [("s^log(0-1)", "log(0.0 - 1.0)"),
                                          ("s^((0-8)^(1/3))", "(0.0 - 8.0)^(1.0/3.0)")])
     def test_constant_exponent_outside_domain_exit_1(self, tmp_path, capsys, y, node):
@@ -225,6 +238,27 @@ class TestAnalyze:
         (row,) = [row for row in payload["rows"] if row["s"] == 1.0]
         assert row["kappa"] is None and row["tau"] is None
         assert "NaN" in (tmp_path / "report.csv").read_text()
+
+    # The writer holds one block of rows at a time, not the whole report:
+    # the grid and its admissibility report are made before tracing starts,
+    # so the peak is what writing 50,001 rows of CSV and JSON allocates.
+    def test_writer_memory_is_bounded(self, tmp_path, monkeypatch):
+        curve = tmp_path / "curve.json"
+        curve.write_text(json.dumps({"y": "1.5*cosh(s)", "z": "1.5*sinh(s)",
+                                     "s_min": -2.0, "s_max": 2.0, "samples": 50001}))
+        grid = frenet_grid(load_curve(curve), strict=False)
+        report = pgcurves.cli.check_admissible(grid)
+        monkeypatch.setattr(pgcurves.cli, "frenet_grid", lambda *args, **kwargs: grid)
+        monkeypatch.setattr(pgcurves.cli, "check_admissible", lambda _: report)
+        tracemalloc.start()
+        try:
+            assert main(["analyze", "--input", str(curve),
+                         "--output", str(tmp_path / "report")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "report.csv").read_text().count("\n") == 50002
+        assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
     def test_determinism(self, tmp_path, cosh_sinh_file):
         for name in ("a", "b"):

@@ -22,6 +22,7 @@ from pgcurves.fileio import (
     load_curve_csv,
     load_curve_json,
     write_frenet_csv,
+    write_json,
     write_series,
     write_trajectory_csv,
 )
@@ -131,15 +132,21 @@ class TestFormatFloats:
         assert format_floats(zeros)[2047:] == ["0", "NaN"]
         assert len(calls) == 1
 
-    def test_json_text_nulls_only_non_finite(self):
-        corpus = _float_corpus()
-        column = FloatColumn(corpus)
-        json_text = column.json_text()
-        assert json_text.count("null") == 3
+    # The JSON side of a table holds null where the CSV side holds NaN,
+    # Infinity or -Infinity, and the CSV's own strings everywhere else; the
+    # corpus three times over spans two blocks of rows.
+    def test_json_text_nulls_only_non_finite(self, tmp_path):
+        corpus = np.tile(_float_corpus(), 3)
+        csv, report = tmp_path / "rows.csv", tmp_path / "rows.json"
+        write_json(report, FloatTable(("x",), [corpus], csv=csv))
+        values = [row["x"] for row in json.loads(report.read_text(), parse_float=str,
+                                                  parse_int=str)]
         finite = np.isfinite(corpus)
-        assert ([t for t, ok in zip(json_text, finite) if ok]
+        assert [value is None for value in values] == (~finite).tolist()
+        assert ([value for value in values if value is not None]
                 == [format_float(x) for x in corpus[finite]])
-        assert "NaN" in column.text()
+        assert csv.read_text().splitlines()[1:] == [format_float(x) for x in corpus]
+        assert "NaN" not in report.read_text()
 
 
 class TestDumpsJson:
@@ -167,84 +174,123 @@ class TestDumpsJson:
             "a": None, "b": [None, None, 1.5]}
 
 
-@pytest.fixture
-def cosh_sinh_report(tmp_path):
-    curve = tmp_path / "curve.json"
-    curve.write_text(json.dumps({"y": "2*cosh(s)", "z": "2*sinh(s)",
-                                 "s_min": -1.0, "s_max": 1.0, "samples": 21}))
-    assert main(["analyze", "--input", str(curve),
-                 "--output", str(tmp_path / "report")]) == 0
-    return tmp_path
-
-
 class TestFloatTable:
     names = ("s", "kappa", "odd%key", "res")
 
+    # the first and the last row of every block hold NaN, both infinities,
+    # 0 and -0
     def _columns(self, n):
         rng = np.random.default_rng(3)
         columns = [np.linspace(0.0, 1.0, n), rng.standard_normal(n),
                    10.0 ** rng.uniform(-300, 300, n),
                    np.where(np.arange(n) % 3 == 0, -0.0, 0.0)]
-        if n:
-            columns[1][n // 2] = math.nan
-            columns[2][0] = -math.inf
+        for first in range(0, n, fileio._BLOCK):
+            last = min(first + fileio._BLOCK, n) - 1
+            columns[1][[first, last]] = math.nan, math.inf
+            columns[2][[first, last]] = -math.inf, -0.0
+            columns[3][[first, last]] = 0.0, -0.0
         return columns
 
-    def _as_dicts(self, columns):
-        return [{name: float(col[i]) for name, col in zip(self.names, columns)}
+    def _as_dicts(self, columns, names=names):
+        return [{name: float(col[i]) for name, col in zip(names, columns)}
                 for i in range(columns[0].size)]
 
-    # 2049 rows cross a block boundary of the formatting kernel
-    @pytest.mark.parametrize("n", [0, 1, 9, 2049])
-    def test_rows_match_list_of_dicts(self, n):
+    def _csv(self, columns, names=names):
+        lines = [",".join(names)]
+        lines += [",".join(format_float(col[i]) for col in columns)
+                  for i in range(columns[0].size)]
+        return "".join(line + "\n" for line in lines)
+
+    # the blocks of _BLOCK = 2048 rows: one short block, one exactly full,
+    # one row either side of the boundary, and one row past two full blocks
+    @pytest.mark.parametrize("n", [0, 1, 9, 2047, 2048, 2049, 4097])
+    def test_rows_match_list_of_dicts(self, n, tmp_path):
         columns = self._columns(n)
         table = FloatTable(self.names, columns)
         rows = self._as_dicts(columns)
         assert dumps_json(table) == dumps_json(rows)
-        assert (dumps_json({"schema": 1, "rows": table})
-                == dumps_json({"schema": 1, "rows": rows}))
+        expected = dumps_json({"schema": 1, "rows": rows})
+        assert dumps_json({"schema": 1, "rows": table}) == expected
+        write_json(tmp_path / "report.json", {"schema": 1, "rows": table})
+        assert (tmp_path / "report.json").read_text() == expected
 
-    @pytest.mark.parametrize("n", [0, 1, 2049])
+    @pytest.mark.parametrize("n", [0, 1, 2047, 2048, 2049, 4097])
     def test_csv_matches_line_by_line(self, n, tmp_path):
         columns = self._columns(n)
         path = tmp_path / "table.csv"
         _write_table(path, FloatTable(self.names, columns))
-        lines = [",".join(self.names)]
-        lines += [",".join(format_float(col[i]) for col in columns) for i in range(n)]
-        assert path.read_text() == "".join(line + "\n" for line in lines)
+        assert path.read_text() == self._csv(columns)
 
-    @pytest.mark.parametrize("n", [0, 1, 2049])
+    @pytest.mark.parametrize("n", [0, 1, 2047, 2048, 2049, 4097])
+    def test_csv_written_with_json_rows(self, n, tmp_path):
+        columns = self._columns(n)
+        csv, report = tmp_path / "table.csv", tmp_path / "report.json"
+        write_json(report, {"rows": FloatTable(self.names, columns, csv=csv)})
+        assert report.read_text() == dumps_json({"rows": self._as_dicts(columns)})
+        assert csv.read_text() == self._csv(columns)
+
+    @pytest.mark.parametrize("n", [0, 1, 2047, 2048, 2049, 4097])
     def test_series_matches_line_by_line(self, n, tmp_path):
-        s, _, values, _ = self._columns(n)
+        s, values, _, _ = self._columns(n)
         path = tmp_path / "series.dat"
         write_series(path, FloatColumn(s), values)
         assert path.read_text() == "".join(f"{format_float(a)} {format_float(b)}\n"
                                            for a, b in zip(s, values))
 
+    # each block of each distinct column is formatted once, for the CSV and
+    # the JSON rows together
     def test_column_passed_twice_is_formatted_once(self, tmp_path, monkeypatch):
-        columns = self._columns(9)
         calls = []
 
         def spy(values):
-            calls.append(values)
+            calls.append(len(values))
             return format_floats(values)
 
         monkeypatch.setattr(fileio, "format_floats", spy)
-        table = FloatTable(("a", "b", "c", "d", "e"), columns + [columns[1]])
-        assert table.columns[1] is table.columns[4]
-        _write_table(tmp_path / "table.csv", table)
-        assert len(calls) == 4
-        lines = (tmp_path / "table.csv").read_text().splitlines()
-        assert all(row.split(",")[1] == row.split(",")[4] for row in lines[1:])
+        columns = self._columns(4097)
+        names = ("a", "b", "c", "d", "e")
+        csv, report = tmp_path / "table.csv", tmp_path / "report.json"
+        write_json(report, FloatTable(names, columns + [columns[1]], csv=csv))
+        assert calls == [2048] * 8 + [1] * 4
+        assert csv.read_text() == self._csv(columns + [columns[1]], names)
+        assert report.read_text() == dumps_json(self._as_dicts(columns + [columns[1]], names))
 
-    def test_csv_and_json_share_strings(self, cosh_sinh_report):
-        json_rows = json.loads((cosh_sinh_report / "report.json").read_text(),
-                               parse_float=str, parse_int=str)["rows"]
-        lines = (cosh_sinh_report / "report.csv").read_text().splitlines()
-        names = lines[0].split(",")
-        csv_rows = [dict(zip(names, line.split(","))) for line in lines[1:]]
-        assert len(json_rows) == len(csv_rows) == 21
-        assert json_rows == csv_rows
+    # s^2/2, s^3/6 is lightlike at s = -1 and 1: on [-1, 2] with 3,073 samples
+    # at the first row of each block, on [-3, 1] with 4,095 at the last.  Each
+    # block of each of the 13 distinct columns is formatted once, and the JSON
+    # rows hold the CSV's strings, with null for the non-finite ones.
+    def test_csv_and_json_share_strings(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(values):
+            calls.append(len(values))
+            return format_floats(values)
+
+        names = fileio.FRENET_COLUMNS
+        for s_min, s_max, samples, null_rows in [(-1.0, 2.0, 3073, [0, 2048]),
+                                                 (-3.0, 1.0, 4095, [2047, 4094])]:
+            curve = tmp_path / "curve.json"
+            curve.write_text(json.dumps({"y": "s^2/2", "z": "s^3/6", "s_min": s_min,
+                                         "s_max": s_max, "samples": samples}))
+            columns = [getattr(frenet_grid(load_curve(curve), strict=False), name)
+                       for name in names]
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(fileio, "format_floats", spy)
+                assert main(["analyze", "--input", str(curve),
+                             "--output", str(tmp_path / "report")]) == 2
+            assert calls == [2048] * 13 + [samples - 2048] * 13
+            csv_text = (tmp_path / "report.csv").read_text()
+            json_text = (tmp_path / "report.json").read_text()
+            assert csv_text == self._csv(columns, names)
+            rows = dumps_json({"rows": self._as_dicts(columns, names)})
+            assert json_text.endswith(rows.split("\n", 1)[1])
+            json_rows = json.loads(json_text, parse_float=str, parse_int=str)["rows"]
+            csv_rows = [dict(zip(names, line.split(","))) for line in csv_text.splitlines()[1:]]
+            assert [i for i, row in enumerate(json_rows) if row["kappa"] is None] == null_rows
+            assert json_rows == [{name: None if name != "s" and i in null_rows else value
+                                  for name, value in row.items()}
+                                 for i, row in enumerate(csv_rows)]
 
 
 class TestCurveFiles:
