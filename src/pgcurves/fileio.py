@@ -49,7 +49,7 @@ __all__ = [
     "format_float", "format_floats", "FloatColumn", "FloatTable",
     "dumps_json", "write_json",
     "load_curve_json", "load_curve_csv", "load_curve",
-    "write_trajectory_csv", "frenet_table", "write_frenet_csv", "write_series",
+    "write_trajectory_csv", "frenet_table", "write_series",
     "FRENET_COLUMNS",
 ]
 
@@ -532,11 +532,6 @@ def frenet_table(grid: FrenetGrid, csv=None) -> FloatTable:
     """The frame apparatus table (x components omitted: always 1, 0, 0); see
     FloatTable for csv."""
     return FloatTable(FRENET_COLUMNS, [getattr(grid, name) for name in FRENET_COLUMNS], csv)
-
-
-def write_frenet_csv(path, grid: FrenetGrid):
-    """Write the frame apparatus table as CSV."""
-    _write_table(path, frenet_table(grid))
 
 
 def write_series(path, s, values):

@@ -7,10 +7,13 @@ zero; there the frame
 
     t = (1, y', z')
     n = (0, y'', z'') / kappa
-    b = (0, eps * z'', eps * y'') / kappa
+    b = (0, eps * n_z, eps * n_y)
 
 with kappa = sqrt(|y''^2 - z''^2|) and eps = sign(y''^2 - z''^2) satisfies
 det(t, n, b) = 1, and the torsion is tau = (y'' z''' - y''' z'') / kappa^2.
+frenet_grid measures the frame-equation residuals with the closed forms
+kappa' = eps (y'' y''' - z'' z''') / kappa and
+n' = ((0, y''', z''') - kappa' n) / kappa, b' = (0, eps * n_z', eps * n_y').
 
 Components y and z come either from DSL expressions (exact derivative path)
 or from one quintic spline through sampled points of both (relaxed
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import spline
 from .dsl import Expr, as_expr
-from .jets import Jet3, jet_sqrt
+from .jets import Jet3
 from .space import PGVector3, plane_det, plane_product
 
 DEFAULT_TOL_ADM = 1e-12
@@ -193,9 +196,9 @@ class FrenetGrid:
     ok marks admissible points (|disc| >= tol_adm); frame and invariant rows
     where ok is False hold NaN.  r (shape (N, 3)) and disc = y''^2 - z''^2
     are never masked.  res_t, res_n, res_b are the Euclidean norms of the
-    frame-equation residuals t' - kappa n, n' - tau b, b' - tau n, with frame
-    derivatives obtained by differentiating the frame component formulas
-    themselves.  exact records whether the curve has expression components.
+    frame-equation residuals t' - kappa n, n' - tau b, b' - tau n, with n'
+    and b' from their closed forms (module docstring), not from the frame
+    equations.  exact records whether the curve has expression components.
     """
 
     s: np.ndarray
@@ -272,23 +275,23 @@ def frenet_grid(curve: CurveDef, s=None, tol_adm: float = DEFAULT_TOL_ADM,
     d_safe = np.where(ok, d, 1.0)
     eps = np.sign(d_safe)
 
-    # First-order jets of the frame component formulas.  Only the value and
-    # d1 slots are meaningful; d2/d3 are padding for the Jet3 arithmetic.
-    zero = np.zeros_like(d_safe)
-    y2 = Jet3(yj.d2, yj.d3, zero, zero)
-    z2 = Jet3(zj.d2, zj.d3, zero, zero)
-    d_jet = Jet3(d_safe, 2.0 * plane_product(yj.d2, zj.d2, yj.d3, zj.d3), zero, zero)
-    kappa = jet_sqrt(eps * d_jet)
-    n_yj = y2 / kappa
-    n_zj = z2 / kappa
-    b_yj = (eps * z2) / kappa
-    b_zj = (eps * y2) / kappa
+    # kappa = sqrt(eps d) and kappa' = (eps d)' / (2 kappa), in the order of
+    # operations of the Jet3 reference in tests/test_frenet.py: bitwise equal
+    kappa = np.sqrt(eps * d_safe)
+    kappa_d1 = (0.5 / kappa) * (eps * (2.0 * plane_product(yj.d2, zj.d2, yj.d3, zj.d3)))
+    n_y = yj.d2 / kappa
+    n_z = zj.d2 / kappa
+    n_y_d1 = (yj.d3 - n_y * kappa_d1) / kappa
+    n_z_d1 = (zj.d3 - n_z * kappa_d1) / kappa
+    # b = eps (n_z, n_y) and b' = eps (n_z', n_y'): eps = +-1, so the
+    # products are exact
+    b_y, b_z = eps * n_z, eps * n_y
 
     tau = plane_det(yj.d2, zj.d2, yj.d3, zj.d3) / (eps * d_safe)
 
-    res_t = np.hypot(yj.d2 - kappa.v * n_yj.v, zj.d2 - kappa.v * n_zj.v)
-    res_n = np.hypot(n_yj.d1 - tau * b_yj.v, n_zj.d1 - tau * b_zj.v)
-    res_b = np.hypot(b_yj.d1 - tau * n_yj.v, b_zj.d1 - tau * n_zj.v)
+    res_t = np.hypot(yj.d2 - kappa * n_y, zj.d2 - kappa * n_z)
+    res_n = np.hypot(n_y_d1 - tau * b_y, n_z_d1 - tau * b_z)
+    res_b = np.hypot(eps * n_z_d1 - tau * n_y, eps * n_y_d1 - tau * n_z)
 
     nan = np.nan
 
@@ -303,14 +306,14 @@ def frenet_grid(curve: CurveDef, s=None, tol_adm: float = DEFAULT_TOL_ADM,
         tol_adm=tol_adm,
         exact=curve.exact,
         eps=_mask(eps),
-        kappa=_mask(kappa.v),
+        kappa=_mask(kappa),
         tau=_mask(tau),
         t_y=_mask(yj.d1),
         t_z=_mask(zj.d1),
-        n_y=_mask(n_yj.v),
-        n_z=_mask(n_zj.v),
-        b_y=_mask(b_yj.v),
-        b_z=_mask(b_zj.v),
+        n_y=_mask(n_y),
+        n_z=_mask(n_z),
+        b_y=_mask(b_y),
+        b_z=_mask(b_z),
         res_t=_mask(res_t),
         res_n=_mask(res_n),
         res_b=_mask(res_b),

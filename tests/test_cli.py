@@ -659,6 +659,22 @@ def _run_fresh_interpreter(probe):
                           check=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
 
 
+# a fresh interpreter, since pytest records warnings raised in-process
+# instead of printing them
+@pytest.mark.parametrize("command, output", [("analyze", "report"),
+                                             ("classify", "verdict.json")])
+def test_huge_curvature_leaves_stderr_empty(tmp_path, command, output):
+    curve = tmp_path / "scaled.json"
+    curve.write_text(json.dumps({"y": "1e70*cosh(s)", "z": "1e70*sinh(s)",
+                                 "s_min": 0.0, "s_max": 1.0, "samples": 51}))
+    probe = ("import pgcurves.cli; "
+             f"print(pgcurves.cli.main([{command!r}, '--input', {str(curve)!r}, "
+             f"'--output', {str(tmp_path / output)!r}]))")
+    out = _run_fresh_interpreter(probe)
+    assert out.stdout.split() == ["0"]
+    assert out.stderr == ""
+
+
 @pytest.mark.parametrize("module", ["pgcurves", "pgcurves.cli"])
 def test_import_loads_no_scipy_subpackage(module):
     # The top-level scipy package (about 8 ms) stays imported, because the

@@ -21,7 +21,6 @@ from pgcurves.fileio import (
     load_curve,
     load_curve_csv,
     load_curve_json,
-    write_frenet_csv,
     write_json,
     write_series,
     write_trajectory_csv,
@@ -388,13 +387,12 @@ class TestCurveFiles:
             load_curve(tmp_path / "curve.txt")
 
     def test_frenet_csv_columns(self, tmp_path):
-        from pgcurves.frenet import curve_from_exprs
-
-        curve = curve_from_exprs("cosh(s)", "sinh(s)", 0.0, 1.0, samples=11)
-        grid = frenet_grid(curve)
-        path = tmp_path / "out.csv"
-        write_frenet_csv(path, grid)
-        lines = path.read_text().strip().splitlines()
+        curve = tmp_path / "curve.json"
+        curve.write_text(json.dumps({"y": "cosh(s)", "z": "sinh(s)", "s_min": 0.0,
+                                     "s_max": 1.0, "samples": 11}))
+        assert main(["analyze", "--input", str(curve),
+                     "--output", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out.csv").read_text().strip().splitlines()
         assert lines[0] == ("s,kappa,tau,eps,t_y,t_z,n_y,n_z,b_y,b_z,"
                             "res_t,res_n,res_b")
         assert len(lines) == 12

@@ -1,6 +1,8 @@
 """Frenet apparatus tests: admissibility, frames, torsion oracle, residuals."""
 
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,10 @@ from pgcurves.frenet import (
     frenet_residuals,
     torsion_det,
 )
-from pgcurves.space import PGVector3, det3, pg_inner
+from pgcurves.jets import Jet3, jet_sqrt
+from pgcurves.space import PGVector3, det3, pg_inner, plane_det, plane_product
+from pgcurves.synth import synth_rectifying
+from pgcurves.verify import corpus_curves
 
 
 def _admissibility(curve, tol_adm=DEFAULT_TOL_ADM):
@@ -276,3 +281,76 @@ class TestNonStrictGrid:
         assert np.all(np.isnan(g.kappa[~g.ok]))
         assert np.all(np.isfinite(g.kappa[g.ok]))
 
+
+def _padded_jet_grid(curve, s, tol_adm=DEFAULT_TOL_ADM):
+    """The non-strict FrenetGrid of curve at s, with the frame derivatives
+    taken by Jet3 arithmetic on the frame component formulas: n and b as
+    first-order jets padded with zero d2 and d3 slots."""
+    yj, zj = curve.jets(s)
+    d = plane_product(yj.d2, zj.d2, yj.d2, zj.d2)
+    ok = np.abs(d) >= tol_adm
+    d_safe = np.where(ok, d, 1.0)
+    eps = np.sign(d_safe)
+    zero = np.zeros_like(d_safe)
+    y2 = Jet3(yj.d2, yj.d3, zero, zero)
+    z2 = Jet3(zj.d2, zj.d3, zero, zero)
+    d_jet = Jet3(d_safe, 2.0 * plane_product(yj.d2, zj.d2, yj.d3, zj.d3), zero, zero)
+    kappa = jet_sqrt(eps * d_jet)
+    n_y, n_z = y2 / kappa, z2 / kappa
+    b_y, b_z = (eps * z2) / kappa, (eps * y2) / kappa
+    tau = plane_det(yj.d2, zj.d2, yj.d3, zj.d3) / (eps * d_safe)
+
+    def mask(arr):
+        return np.where(ok, arr, np.nan)
+
+    return dict(
+        s=s, r=np.column_stack([s + curve.x_offset, yj.v, zj.v]), disc=d, ok=ok,
+        eps=mask(eps), kappa=mask(kappa.v), tau=mask(tau),
+        t_y=mask(yj.d1), t_z=mask(zj.d1),
+        n_y=mask(n_y.v), n_z=mask(n_z.v), b_y=mask(b_y.v), b_z=mask(b_z.v),
+        res_t=mask(np.hypot(yj.d2 - kappa.v * n_y.v, zj.d2 - kappa.v * n_z.v)),
+        res_n=mask(np.hypot(n_y.d1 - tau * b_y.v, n_z.d1 - tau * b_z.v)),
+        res_b=mask(np.hypot(b_y.d1 - tau * n_y.v, b_z.d1 - tau * n_z.v)),
+    )
+
+
+# CURVE_CORPUS, a grid with NaN rows (lightlike at s = -1 and s = 1) and a
+# synthesized sampled curve
+REFERENCE_CURVES = {
+    **dict(corpus_curves()),
+    "lightlike": curve_from_exprs("s^2/2", "s^3/6", -1.0, 2.0, samples=6001),
+    "synthesized": synth_rectifying(0.5, 1.2, "1", (-1.5, 0.5), step=1e-3,
+                                    margin=0.05).to_curve(-1.5, 0.5),
+}
+
+
+class TestClosedFormFrame:
+    @pytest.mark.parametrize("curve", REFERENCE_CURVES.values(), ids=REFERENCE_CURVES)
+    def test_bitwise_equal_to_padded_jets(self, curve):
+        grid = frenet_grid(curve, strict=False)
+        reference = _padded_jet_grid(curve, grid.s)
+        assert set(reference) == {name for name, value in vars(grid).items()
+                                  if isinstance(value, np.ndarray)}
+        for name, expected in reference.items():
+            got = getattr(grid, name)
+            assert got.dtype == expected.dtype, name
+            assert got.tobytes() == expected.tobytes(), name
+
+    def test_huge_curvature_raises_no_warning(self):
+        curve = curve_from_exprs("1e70*cosh(s)", "1e70*sinh(s)", 0.0, 1.0, samples=51)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = frenet_grid(curve)
+        np.testing.assert_allclose(grid.kappa, 1e70, rtol=1e-14)
+        np.testing.assert_allclose(grid.tau, 1.0, rtol=1e-14)
+
+    def test_peak_memory_near_output(self):
+        curve = curve_from_exprs("1.5*cosh(s)", "1.5*sinh(s)", -2.0, 2.0, samples=50_001)
+        tracemalloc.start()
+        try:
+            grid = frenet_grid(curve)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(v.nbytes for v in vars(grid).values() if isinstance(v, np.ndarray))
+        assert peak <= 2.5 * kept, f"peak {peak / kept:.2f} times the grid's arrays"
