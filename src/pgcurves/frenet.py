@@ -18,14 +18,15 @@ n' = ((0, y''', z''') - kappa' n) / kappa, b' = (0, eps * n_z', eps * n_y').
 Components y and z come either from DSL expressions (exact derivative path)
 or from one quintic spline through sampled points of both (relaxed
 tolerances).  The spline is pgcurves.spline: numpy code around one LAPACK
-call, whose module scipy.linalg loads on the first sampled curve; commands on
-exact curves never import it.
+call, dgbsv, whose extension module loads from its file on the first sampled
+curve; no command imports a scipy subpackage.
 
 CurveDef.jets serves both paths.  A command evaluates its curve once, in
 frenet_grid; check_admissible and the frame decomposition in classify read
 the FrenetGrid it returns.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,8 +257,11 @@ def frenet_grid(curve: CurveDef, s=None, tol_adm: float = DEFAULT_TOL_ADM,
     """Evaluate the full Frenet apparatus on a grid of parameter values.
 
     With strict=True any inadmissible point raises NotAdmissible; otherwise
-    such points are NaN-masked and flagged in the ok array.
+    such points are NaN-masked and flagged in the ok array.  tol_adm must be
+    finite and positive, or ValueError is raised.
     """
+    if not 0.0 < tol_adm < math.inf:
+        raise ValueError(f"tolerance tol_adm must be finite and positive, got {tol_adm}")
     if s is None:
         s = curve.grid()
     s = np.atleast_1d(np.asarray(s, dtype=float))

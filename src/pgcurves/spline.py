@@ -9,10 +9,16 @@ Cox-de Boor basis pass.
 
 Every formula, and the order of every sum, is the one scipy's degree-5
 not-a-knot interpolant, its BSpline.derivative and its evaluator use, so
-the values equal scipy's bit for bit.  The banded solve is LAPACK dgbsv,
-reached through the top-level scipy module so that scipy.linalg loads on
-the first fit only.
+the values equal scipy's bit for bit.  The banded solve is LAPACK dgbsv
+from scipy's _flapack extension, loaded alone from its file on the first
+fit: the very function scipy.linalg.lapack.dgbsv returns, without the
+package scipy.linalg, whose import costs about 300 modules and 24 MB.
 """
+
+import importlib.machinery
+import importlib.util
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import scipy
@@ -50,11 +56,31 @@ def interpolate(x, y):
     for i in (0, 1, n - 3, n - 2, n - 1):
         cols = start[i] + np.arange(K + 1)
         ab[2 * K + i - cols, cols] = basis[:, i]
-    _, _, c, info = scipy.linalg.lapack.dgbsv(K, K, ab, y.reshape(n, -1).copy(),
-                                              overwrite_ab=True, overwrite_b=True)
+    _, _, c, info = _dgbsv()(K, K, ab, y.reshape(n, -1).copy(),
+                             overwrite_ab=True, overwrite_b=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"collocation solve failed (dgbsv info {info})")
     return t, np.ascontiguousarray(c.reshape(y.shape))
+
+
+@cache
+def _dgbsv():
+    """LAPACK dgbsv of scipy's _flapack extension, loaded once from its file.
+
+    The module keeps its own name, scipy.linalg._flapack, so a later import
+    of scipy.linalg gets the same module and the same function.  The
+    top-level scipy import stays: on Windows it puts the bundled LAPACK on
+    the DLL search path.
+    """
+    directory = Path(scipy.__file__).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / f"_flapack{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.dgbsv
+    raise ImportError(f"no LAPACK extension _flapack in {directory}")
 
 
 def derivatives(t, c, orders):

@@ -717,15 +717,45 @@ def test_oversize_input_exit_1(tmp_path, cosh_sinh_file):
     assert not synth_out.exists() and not analyze_out.exists()
 
 
-def test_cold_sampled_classify_loads_linalg_not_interpolate(tmp_path, cosh_sinh_csv):
-    # the quintic spline is numpy code around one LAPACK call, dgbsv, so a
-    # sampled curve loads scipy.linalg and never the spline stack
-    cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
-    probe = ("import sys, pgcurves.cli; "
-             f"code = pgcurves.cli.main(['classify', '--input', {str(cosh_sinh_csv)!r}, "
-             f"'--output', {str(cold)!r}]); "
-             "print(code, 'scipy.interpolate' in sys.modules, 'scipy.linalg' in sys.modules)")
+def _output_bytes(path):
+    """The bytes of a file, or of every file under a directory by name."""
+    if path.is_file():
+        return path.read_bytes()
+    return {p.relative_to(path): p.read_bytes() for p in sorted(path.rglob("*"))}
+
+
+@pytest.mark.parametrize("command", ["classify", "plot-data", "analyze", "verify"])
+def test_cold_sampled_command_loads_no_scipy_subpackage(tmp_path, cosh_sinh_csv, command):
+    # the quintic spline is numpy code around one LAPACK call, dgbsv, whose
+    # extension module loads from its own file: a sampled curve imports
+    # neither scipy.linalg nor the spline stack
+    args = ["--seed", "0"] if command == "verify" else ["--input", str(cosh_sinh_csv)]
+    output = "report.json" if command in ("classify", "verify") else "out"
+    cold, warm = tmp_path / "cold" / output, tmp_path / "warm" / output
+    probe = ("import sys, scipy, pgcurves.cli; "
+             f"code = pgcurves.cli.main([{command!r}, *{args!r}, '--output', {str(cold)!r}]); "
+             "print(code, sorted(m for m in scipy.submodules if 'scipy.' + m in sys.modules))")
     out = _run_fresh_interpreter(probe)
-    assert out.stdout.split() == ["0", "False", "True"]
-    assert main(["classify", "--input", str(cosh_sinh_csv), "--output", str(warm)]) == 0
-    assert cold.read_bytes() == warm.read_bytes()
+    assert out.stdout.split() == ["0", "[]"]
+    assert main([command, *args, "--output", str(warm)]) == 0
+    assert _output_bytes(cold) == _output_bytes(warm)
+
+
+@pytest.mark.parametrize("linalg_first", [False, True])
+def test_scipy_works_beside_loaded_lapack(tmp_path, cosh_sinh_csv, linalg_first):
+    # pgcurves loads scipy's _flapack extension from its file, under its own
+    # name, so scipy.linalg finds that module whichever is imported first
+    probe = ("import sys; "
+             + ("import scipy.linalg; " if linalg_first else "")
+             + "import numpy as np, pgcurves.cli; from pgcurves import spline; "
+             f"code = pgcurves.cli.main(['classify', '--input', {str(cosh_sinh_csv)!r}, "
+             f"'--output', {str(tmp_path / 'verdict.json')!r}]); "
+             "linalg = 'scipy.linalg' in sys.modules; "
+             "import scipy.interpolate, scipy.linalg.lapack; "
+             "x = np.linspace(0.0, 2.0, 41); y = np.column_stack([np.cosh(x), np.sinh(x)]); "
+             "t, c = spline.interpolate(x, y); "
+             "b = scipy.interpolate.make_interp_spline(x, y, k=5); "
+             "print(code, linalg, scipy.linalg.lapack.dgbsv is spline._dgbsv(), "
+             "t.tobytes() == b.t.tobytes(), c.tobytes() == b.c.tobytes())")
+    out = _run_fresh_interpreter(probe)
+    assert out.stdout.split() == ["0", str(linalg_first), "True", "True", "True"]

@@ -281,6 +281,17 @@ class TestNonStrictGrid:
         assert np.all(np.isnan(g.kappa[~g.ok]))
         assert np.all(np.isfinite(g.kappa[g.ok]))
 
+    @pytest.mark.parametrize("tol_adm", [0.0, -1.0, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol_adm):
+        # y''^2 - z''^2 = 1 - s^2 is exactly 0 at s = 1, a grid point
+        c = curve_from_exprs("s^2/2", "s^3/6", -1.0, 2.0, samples=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for strict in (True, False):
+                with pytest.raises(ValueError, match="tolerance tol_adm must be finite "
+                                   f"and positive, got {tol_adm}"):
+                    frenet_grid(c, tol_adm=tol_adm, strict=strict)
+
 
 def _padded_jet_grid(curve, s, tol_adm=DEFAULT_TOL_ADM):
     """The non-strict FrenetGrid of curve at s, with the frame derivatives
