@@ -25,7 +25,6 @@ from .classify import (
 )
 from .dsl import DomainError, LexError, ParseError
 from .fileio import (
-    FloatColumn,
     frenet_table,
     load_curve,
     write_json,
@@ -272,11 +271,11 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
 
     out_dir = args.output
     out_dir.mkdir(parents=True, exist_ok=True)
-    s_column = FloatColumn(grid.s)
-    write_series(out_dir / "kappa.dat", s_column, grid.kappa)
-    write_series(out_dir / "tau.dat", s_column, grid.tau)
-    write_series(out_dir / "tau_over_kappa.dat", s_column, grid.tau / grid.kappa)
-    write_series(out_dir / "beta.dat", s_column, dec.beta)
+    # in lockstep, a block of rows at a time, each block of s formatted once
+    write_series(out_dir / "kappa.dat", grid.s, grid.kappa,
+                 (out_dir / "tau.dat", grid.tau),
+                 (out_dir / "tau_over_kappa.dat", grid.tau / grid.kappa),
+                 (out_dir / "beta.dat", dec.beta))
     return EXIT_OK
 
 

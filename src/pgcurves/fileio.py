@@ -8,18 +8,19 @@ format_float's NaN, Infinity and -Infinity.
 
 Float tables are written in blocks of _BLOCK (2,048) rows: for each block,
 each distinct column's slice is formatted once, that block's rows are joined
-and written, and its strings are dropped; of a table's text only plot-data's
-s column is ever held whole.  format_floats formats a column with a numpy
-kernel that writes the bytes of format(x, ".17g"): the 17 digits are an
-exactly rounded double-double product with a power of ten, and a table of
-byte masks lays them out as %g does; two more mask rows write 0 and -0.
-Non-finite values, magnitudes outside [1e-250, 1e270] and values within 1e-6
-of a rounding tie go to format_float, the scalar formatter and the tests'
-reference.  What is formatted once: analyze writes its CSV and its JSON rows (one FloatTable) in
-lockstep from the same block strings, with null in the JSON for each
-non-finite value; a FloatTable given one array as two columns formats it
-once, as a synthesized trajectory's b_y and b_z are its n_z and n_y; and
-plot-data's s, a FloatColumn, is formatted whole, once, for its four series.
+and written, and every string of the block is dropped before the next block
+is formatted, so no table's text, not even one column, is ever held whole.
+format_floats formats a column with a numpy kernel that writes the bytes of
+format(x, ".17g"): the 17 digits are an exactly rounded double-double product
+with a power of ten, and a table of byte masks lays them out as %g does; two
+more mask rows write 0 and -0.  Non-finite values, magnitudes outside
+[1e-250, 1e270] and values within 1e-6 of a rounding tie go to format_float,
+the scalar formatter and the tests' reference.  What is formatted once:
+analyze writes its CSV and its JSON rows (one FloatTable) in lockstep from
+the same block strings, with null in the JSON for each non-finite value; a
+FloatTable given one array as two columns formats it once, as a synthesized
+trajectory's b_y and b_z are its n_z and n_y; and write_series writes
+plot-data's four series in lockstep, from one formatting of each block of s.
 The generic recursive dump serves small payloads and is the reference the
 block writer must match byte for byte.
 
@@ -32,6 +33,7 @@ few, not finite, s not increasing, x not s plus a constant) with their line
 and s.
 """
 
+import contextlib
 import functools
 import io
 import itertools
@@ -46,7 +48,7 @@ from .dsl import parse_expr
 from .frenet import CurveDef, FrenetGrid, SampleError, curve_from_exprs, curve_from_samples
 
 __all__ = [
-    "format_float", "format_floats", "FloatColumn", "FloatTable",
+    "format_float", "format_floats", "FloatTable",
     "dumps_json", "write_json",
     "load_curve_json", "load_curve_csv", "load_curve",
     "write_trajectory_csv", "frenet_table", "write_series",
@@ -237,28 +239,14 @@ def _format_block(x) -> list[str]:
     return text
 
 
-class FloatColumn:
-    """A float column formatted whole, once, on first use, for every table
-    given it (plot-data's s); table columns are otherwise formatted a block
-    at a time."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-
-    @functools.cached_property
-    def text(self) -> list[str]:
-        """format_float of every value."""
-        return format_floats(self.values)
-
-
 class FloatTable:
     """Named float columns of equal length: a CSV table or a list of JSON rows.
 
     dumps_json writes a FloatTable byte for byte like the list of row dicts
-    [{name: float(column[i]) for each column} for each row i].  A column is
-    an array or a FloatColumn; one passed as two columns is formatted once.
-    Given a csv path, dumping the table as JSON rows also writes it there as
-    CSV, each block of rows from the same strings.
+    [{name: float(column[i]) for each column} for each row i].  A column
+    passed as two columns is formatted once.  Given a csv path, dumping the
+    table as JSON rows also writes it there as CSV, each block of rows from
+    the same strings.
     """
 
     def __init__(self, names, columns, csv=None):
@@ -268,19 +256,8 @@ class FloatTable:
         distinct = {id(column): column for column in columns}
         # names[j] is the distinct column columns[index[j]]
         self.index = [list(distinct).index(id(column)) for column in columns]
-        self.columns = [c if isinstance(c, FloatColumn) else np.asarray(c, dtype=float)
-                        for c in distinct.values()]
-        self.rows = len(getattr(self.columns[0], "values", self.columns[0])) if columns else 0
-
-
-def _blocks(table: FloatTable):
-    """(start, values, text) for each block of _BLOCK rows from row start:
-    the values and the strings of each distinct column, each formatted once;
-    a FloatColumn lends its strings."""
-    for start in range(0, table.rows, _BLOCK):
-        values = [getattr(c, "values", c)[start:start + _BLOCK] for c in table.columns]
-        yield start, values, [c.text[start:start + _BLOCK] if isinstance(c, FloatColumn)
-                              else format_floats(v) for c, v in zip(table.columns, values)]
+        self.columns = [np.asarray(c, dtype=float) for c in distinct.values()]
+        self.rows = len(self.columns[0]) if columns else 0
 
 
 def _json_text(values, text) -> list[str]:
@@ -293,15 +270,18 @@ def _json_text(values, text) -> list[str]:
     return text
 
 
-def _join_rows(columns, heads, tail) -> str:
+def _join_rows(columns, heads, tail, last_tail=None) -> str:
     """Row i is heads[0] columns[0][i] heads[1] columns[1][i] ... tail; the
-    rows joined into one string, filled column by column."""
+    rows joined into one string, filled column by column.  The last row ends
+    in last_tail, if given, in place of tail."""
     n = len(columns[0])
     stride = 2 * len(columns) + 1
     parts = [tail] * (stride * n)
     for j, (head, column) in enumerate(zip(heads, columns)):
         parts[2 * j::stride] = [head] * n
         parts[2 * j + 1::stride] = column
+    if last_tail is not None:
+        parts[-1] = last_tail
     return "".join(parts)
 
 
@@ -309,6 +289,7 @@ def _write_rows(table: FloatTable, csv=None, out=None, pad=""):
     """Write a table's rows a block at a time: as CSV lines to the text file
     csv, and as _dump writes a list of row dicts to the parts out, flushed
     after each block.  Both take each block's strings from one formatting."""
+    heads = tail = None
     if out is not None:
         if not table.rows:
             out.append("[]")
@@ -317,19 +298,29 @@ def _write_rows(table: FloatTable, csv=None, out=None, pad=""):
         heads[0] = f"{pad}  {{\n{pad}    {json.dumps(table.names[0])}: "
         tail = f"\n{pad}  }},\n"
         out.append("[\n")
-    for start, values, text in _blocks(table):
-        if csv is not None:
-            # joined row by row: faster than _join_rows at 10 and more
-            # columns, slower at the 2 of a series
-            csv.write("\n".join(map(",".join, zip(*(text[i] for i in table.index)))) + "\n")
-        if out is not None:
-            text = [_json_text(v, t) for v, t in zip(values, text)]
-            rows = _join_rows([text[i] for i in table.index], heads, tail)
-            # the last row takes no comma
-            out.append(rows if start + _BLOCK < table.rows else rows[:-2])
-            out.flush()
+    for start in range(0, table.rows, _BLOCK):
+        # one call per block: its strings are gone before the next is formatted
+        _write_block(table, start, csv, out, heads, tail)
     if out is not None:
         out.append("\n" + pad + "]")
+
+
+def _write_block(table: FloatTable, start: int, csv, out, heads, tail):
+    """Write the block of rows from row start as _write_rows does."""
+    values = [column[start:start + _BLOCK] for column in table.columns]
+    text = [format_floats(v) for v in values]
+    if csv is not None:
+        # joined row by row: faster than _join_rows at 10 and more columns,
+        # slower at the 2 of a series
+        csv.write("\n".join(map(",".join, zip(*(text[i] for i in table.index)))))
+        csv.write("\n")
+    if out is not None:
+        text = [_json_text(v, t) for v, t in zip(values, text)]
+        # the last row takes no comma
+        last = start + _BLOCK >= table.rows
+        out.append(_join_rows([text[i] for i in table.index], heads, tail,
+                              tail[:-2] if last else None))
+        out.flush()
 
 
 class _Parts(list):
@@ -342,7 +333,8 @@ class _Parts(list):
 
     def flush(self):
         if self.handle is not None:
-            self.handle.write("".join(self))
+            for part in self:
+                self.handle.write(part)
             self.clear()
 
 
@@ -534,13 +526,21 @@ def frenet_table(grid: FrenetGrid, csv=None) -> FloatTable:
     return FloatTable(FRENET_COLUMNS, [getattr(grid, name) for name in FRENET_COLUMNS], csv)
 
 
-def write_series(path, s, values):
+def write_series(path, s, values, *more):
     """Two-column whitespace-separated series for external plotting.
 
-    s and values are float arrays or FloatColumns; series that share s as one
-    FloatColumn format it once.
+    Writes s beside values to path, and beside the values of each further
+    (path, values) pair in more.  The files are written in lockstep, a block
+    of rows at a time, and each block of s is formatted once for all of them.
     """
-    table = FloatTable(("s", "value"), [s, values])
-    with open(path, "w", encoding="utf-8") as handle:
-        for _, _, text in _blocks(table):
-            handle.write(_join_rows([text[i] for i in table.index], ("", " "), "\n"))
+    series = [(path, values), *more]
+    s = np.asarray(s, dtype=float)
+    columns = [np.asarray(v, dtype=float) for _, v in series]
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(p, "w", encoding="utf-8")) for p, _ in series]
+        for start in range(0, s.size, _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            s_text = format_floats(s[rows])
+            for handle, column in zip(handles, columns):
+                handle.write(_join_rows([s_text, format_floats(column[rows])], ("", " "), "\n"))
+            del s_text  # dropped before the next block of s is formatted

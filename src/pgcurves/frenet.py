@@ -21,9 +21,13 @@ tolerances).  The spline is pgcurves.spline: numpy code around one LAPACK
 call, dgbsv, whose extension module loads from its file on the first sampled
 curve; no command imports a scipy subpackage.
 
-CurveDef.jets serves both paths.  A command evaluates its curve once, in
-frenet_grid; check_admissible and the frame decomposition in classify read
-the FrenetGrid it returns.
+CurveDef.jets serves both paths.  A command evaluates each point of its
+curve once, in frenet_grid; check_admissible and the frame decomposition in
+classify read the FrenetGrid it returns.  frenet_grid allocates the grid's
+arrays once and fills them a block of _BLOCK (8,192) points at a time: it
+evaluates the jets on the block, writes the closed forms into the block's
+rows and sets its inadmissible rows to NaN in place, so its temporaries are
+those of one block, whatever the size of the grid.
 """
 
 import math
@@ -41,6 +45,10 @@ DEFAULT_TOL_ADM = 1e-12
 _TOL_X = 1e-9
 # how far the window of a sampled curve may reach past its samples
 _TOL_RANGE = 1e-12
+# points per block of frenet_grid.  Each temporary of a block, 64 KiB, stays
+# under glibc's 128 KiB mmap threshold; at 200,001 points 8,192 was faster
+# than 2,048 and 4,096 and held 1 MiB less than 16,384 at the peak
+_BLOCK = 8192
 
 __all__ = [
     "DEFAULT_TOL_ADM", "NotAdmissible", "SampleError", "SampledComponents", "CurveDef",
@@ -252,76 +260,80 @@ def _broadcast(value, shape):
     return arr
 
 
+# the FrenetGrid fields that hold NaN where ok is False
+_MASKED = ("eps", "kappa", "tau", "t_y", "t_z", "n_y", "n_z", "b_y", "b_z",
+           "res_t", "res_n", "res_b")
+
+
 def frenet_grid(curve: CurveDef, s=None, tol_adm: float = DEFAULT_TOL_ADM,
                 strict: bool = True) -> FrenetGrid:
     """Evaluate the full Frenet apparatus on a grid of parameter values.
 
     With strict=True any inadmissible point raises NotAdmissible; otherwise
     such points are NaN-masked and flagged in the ok array.  tol_adm must be
-    finite and positive, or ValueError is raised.
+    finite and positive, or ValueError is raised.  The grid's arrays are
+    allocated once and filled _BLOCK points at a time.
     """
     if not 0.0 < tol_adm < math.inf:
         raise ValueError(f"tolerance tol_adm must be finite and positive, got {tol_adm}")
     if s is None:
         s = curve.grid()
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    yj, zj = curve.jets(s)
-
-    # y''^2 - z''^2: its sign is eps and its root magnitude is kappa
-    d = plane_product(yj.d2, zj.d2, yj.d2, zj.d2)
-    ok = np.abs(d) >= tol_adm
-    if strict and not ok.all():
-        bad = s[~ok]
+    n = s.size
+    grid = FrenetGrid(s=s, r=np.empty((n, 3)), disc=np.empty(n), ok=np.empty(n, dtype=bool),
+                      tol_adm=tol_adm, exact=curve.exact,
+                      **{name: np.empty(n) for name in _MASKED})
+    for start in range(0, n, _BLOCK):
+        _fill_rows(curve, grid, slice(start, start + _BLOCK))
+    # after the loop, so the message counts the whole grid
+    if strict and not grid.ok.all():
+        bad = s[~grid.ok]
         raise NotAdmissible(
             f"y''^2 - z''^2 below {tol_adm:g} at {bad.size} grid point(s), "
             f"first at s={float(bad[0])!r}")
+    return grid
 
+
+def _fill_rows(curve: CurveDef, grid: FrenetGrid, rows: slice):
+    """Evaluate the curve at grid.s[rows] and write the apparatus into the
+    same rows of the grid's arrays, NaN where the point is inadmissible."""
+    s = grid.s[rows]
+    yj, zj = curve.jets(s)
+    r = grid.r[rows]
+    np.add(s, curve.x_offset, out=r[:, 0])
+    r[:, 1], r[:, 2] = yj.v, zj.v
+
+    # y''^2 - z''^2: its sign is eps and its root magnitude is kappa
+    d = grid.disc[rows]
+    d[...] = plane_product(yj.d2, zj.d2, yj.d2, zj.d2)
+    ok = np.greater_equal(np.abs(d), grid.tol_adm, out=grid.ok[rows])
     d_safe = np.where(ok, d, 1.0)
-    eps = np.sign(d_safe)
+    eps = np.sign(d_safe, out=grid.eps[rows])
 
     # kappa = sqrt(eps d) and kappa' = (eps d)' / (2 kappa), in the order of
     # operations of the Jet3 reference in tests/test_frenet.py: bitwise equal
-    kappa = np.sqrt(eps * d_safe)
+    kappa = np.sqrt(eps * d_safe, out=grid.kappa[rows])
     kappa_d1 = (0.5 / kappa) * (eps * (2.0 * plane_product(yj.d2, zj.d2, yj.d3, zj.d3)))
-    n_y = yj.d2 / kappa
-    n_z = zj.d2 / kappa
+    n_y = np.divide(yj.d2, kappa, out=grid.n_y[rows])
+    n_z = np.divide(zj.d2, kappa, out=grid.n_z[rows])
     n_y_d1 = (yj.d3 - n_y * kappa_d1) / kappa
     n_z_d1 = (zj.d3 - n_z * kappa_d1) / kappa
     # b = eps (n_z, n_y) and b' = eps (n_z', n_y'): eps = +-1, so the
     # products are exact
-    b_y, b_z = eps * n_z, eps * n_y
+    b_y = np.multiply(eps, n_z, out=grid.b_y[rows])
+    b_z = np.multiply(eps, n_y, out=grid.b_z[rows])
 
-    tau = plane_det(yj.d2, zj.d2, yj.d3, zj.d3) / (eps * d_safe)
+    tau = np.divide(plane_det(yj.d2, zj.d2, yj.d3, zj.d3), eps * d_safe, out=grid.tau[rows])
 
-    res_t = np.hypot(yj.d2 - kappa * n_y, zj.d2 - kappa * n_z)
-    res_n = np.hypot(n_y_d1 - tau * b_y, n_z_d1 - tau * b_z)
-    res_b = np.hypot(eps * n_z_d1 - tau * n_y, eps * n_y_d1 - tau * n_z)
+    np.hypot(yj.d2 - kappa * n_y, zj.d2 - kappa * n_z, out=grid.res_t[rows])
+    np.hypot(n_y_d1 - tau * b_y, n_z_d1 - tau * b_z, out=grid.res_n[rows])
+    np.hypot(eps * n_z_d1 - tau * n_y, eps * n_y_d1 - tau * n_z, out=grid.res_b[rows])
+    grid.t_y[rows], grid.t_z[rows] = yj.d1, zj.d1
 
-    nan = np.nan
-
-    def _mask(arr):
-        return np.where(ok, arr, nan)
-
-    return FrenetGrid(
-        s=s,
-        r=np.column_stack([s + curve.x_offset, yj.v, zj.v]),
-        disc=d,
-        ok=ok,
-        tol_adm=tol_adm,
-        exact=curve.exact,
-        eps=_mask(eps),
-        kappa=_mask(kappa),
-        tau=_mask(tau),
-        t_y=_mask(yj.d1),
-        t_z=_mask(zj.d1),
-        n_y=_mask(n_y),
-        n_z=_mask(n_z),
-        b_y=_mask(b_y),
-        b_z=_mask(b_z),
-        res_t=_mask(res_t),
-        res_n=_mask(res_n),
-        res_b=_mask(res_b),
-    )
+    bad = ~ok
+    if bad.any():
+        for name in _MASKED:
+            getattr(grid, name)[rows][bad] = np.nan
 
 
 def frame_at(curve: CurveDef, s: float) -> FrenetData:

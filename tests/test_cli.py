@@ -239,9 +239,10 @@ class TestAnalyze:
         assert row["kappa"] is None and row["tau"] is None
         assert "NaN" in (tmp_path / "report.csv").read_text()
 
-    # The writer holds one block of rows at a time, not the whole report:
-    # the grid and its admissibility report are made before tracing starts,
-    # so the peak is what writing 50,001 rows of CSV and JSON allocates.
+    # The writer holds one block of rows at a time, not the whole report, and
+    # drops its strings before it formats the next block: the grid and its
+    # admissibility report are made before tracing starts, so the peak is
+    # what writing 50,001 rows of CSV and JSON allocates.
     def test_writer_memory_is_bounded(self, tmp_path, monkeypatch):
         curve = tmp_path / "curve.json"
         curve.write_text(json.dumps({"y": "1.5*cosh(s)", "z": "1.5*sinh(s)",
@@ -258,7 +259,7 @@ class TestAnalyze:
         finally:
             tracemalloc.stop()
         assert (tmp_path / "report.csv").read_text().count("\n") == 50002
-        assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+        assert peak < 3.5 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
     def test_determinism(self, tmp_path, cosh_sinh_file):
         for name in ("a", "b"):
@@ -586,6 +587,39 @@ class TestPlotData:
         np.testing.assert_allclose(ratio[:, 1], 1.0, atol=1e-9)
         beta = np.loadtxt(out_dir / "beta.dat")
         np.testing.assert_allclose(beta[:, 1], 1.0, atol=1e-9)
+
+    # plot-data writes its four series in lockstep, a block of rows at a time:
+    # the grid and its decomposition are made before tracing starts, so the
+    # peak is the tau/kappa series and one block's strings, not a whole
+    # column of s as text
+    def test_writer_memory_is_bounded(self, tmp_path, monkeypatch):
+        curve = tmp_path / "curve.json"
+        curve.write_text(json.dumps({"y": "1.5*cosh(s)", "z": "1.5*sinh(s)",
+                                     "s_min": -2.0, "s_max": 2.0, "samples": 20001}))
+        grid = frenet_grid(load_curve(curve))
+        dec = frame_components_arrays(grid, ORIGIN)
+        monkeypatch.setattr(pgcurves.cli, "frenet_grid", lambda *args, **kwargs: grid)
+        monkeypatch.setattr(pgcurves.cli, "frame_components_arrays", lambda *args: dec)
+        tracemalloc.start()
+        try:
+            assert main(["plot-data", "--input", str(curve),
+                         "--output", str(tmp_path / "series")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for name in ("kappa", "tau", "tau_over_kappa", "beta"):
+            assert (tmp_path / "series" / f"{name}.dat").read_text().count("\n") == 20001
+        assert peak < 1.5 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+    # the count and the first s are over the whole grid, not one block
+    def test_inadmissible_count_spans_blocks(self, tmp_path, capfd):
+        curve = tmp_path / "lightlike.json"
+        curve.write_text(json.dumps({"y": "s^2/2", "z": "s^2/2", "s_min": 0.0,
+                                     "s_max": 1.0, "samples": 20001}))
+        code = main(["plot-data", "--input", str(curve), "--output", str(tmp_path / "series")])
+        assert code == 2
+        assert capfd.readouterr().err == ("pgcurves: admissibility error: y''^2 - z''^2 below "
+                                          "1e-12 at 20001 grid point(s), first at s=0.0\n")
 
     def test_inadmissible_location_is_a_plain_float(self, tmp_path, capfd):
         curve = tmp_path / "lightlike.json"

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from pgcurves import fileio
 from pgcurves.cli import main
 from pgcurves.fileio import (
-    FloatColumn,
     FloatTable,
     _write_table,
     dumps_json,
@@ -228,13 +227,30 @@ class TestFloatTable:
         assert report.read_text() == dumps_json({"rows": self._as_dicts(columns)})
         assert csv.read_text() == self._csv(columns)
 
+    # one series alone, and three in lockstep beside one s
     @pytest.mark.parametrize("n", [0, 1, 2047, 2048, 2049, 4097])
     def test_series_matches_line_by_line(self, n, tmp_path):
-        s, values, _, _ = self._columns(n)
-        path = tmp_path / "series.dat"
-        write_series(path, FloatColumn(s), values)
-        assert path.read_text() == "".join(f"{format_float(a)} {format_float(b)}\n"
-                                           for a, b in zip(s, values))
+        s, *columns = self._columns(n)
+        paths = [tmp_path / f"{name}.dat" for name in ("a", "b", "c")]
+        write_series(tmp_path / "alone.dat", s, columns[0])
+        write_series(paths[0], s, columns[0], *zip(paths[1:], columns[1:]))
+        for path, values in zip([tmp_path / "alone.dat"] + paths, columns[:1] + columns):
+            assert path.read_text() == "".join(f"{format_float(a)} {format_float(b)}\n"
+                                               for a, b in zip(s, values))
+
+    # each block of s is formatted once for all the series, before theirs
+    def test_series_share_each_block_of_s(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(values):
+            calls.append(len(values))
+            return format_floats(values)
+
+        monkeypatch.setattr(fileio, "format_floats", spy)
+        s, *columns = self._columns(4097)
+        paths = [tmp_path / f"{name}.dat" for name in ("a", "b", "c")]
+        write_series(paths[0], s, columns[0], *zip(paths[1:], columns[1:]))
+        assert calls == [2048] * 8 + [1] * 4
 
     # each block of each distinct column is formatted once, for the CSV and
     # the JSON rows together

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pgcurves import frenet
 from pgcurves.frenet import (
     DEFAULT_TOL_ADM,
     NotAdmissible,
@@ -273,6 +274,20 @@ class TestResiduals:
             assert np.max(r) <= 1e-5
 
 
+class TestStrictGrid:
+    # the count and the first s are over the whole grid, not one block
+    @pytest.mark.parametrize("y, z, window, samples, count, first", [
+        ("s^2/2", "s^2/2", (0.0, 1.0), 20001, 20001, 0.0),
+        ("s^2/2", "s^3/6", (-1.0, 2.0), 24577, 2, -1.0),
+    ], ids=["every-point", "blocks-0-and-2"])
+    def test_error_counts_the_whole_grid(self, y, z, window, samples, count, first):
+        curve = curve_from_exprs(y, z, *window, samples=samples)
+        with pytest.raises(NotAdmissible) as err:
+            frenet_grid(curve)
+        assert str(err.value) == (f"y''^2 - z''^2 below 1e-12 at {count} grid point(s), "
+                                  f"first at s={first!r}")
+
+
 class TestNonStrictGrid:
     def test_violations_are_masked(self):
         c = curve_from_exprs("s^4/12", "s^2/2", 0.0, 2.0, samples=101)
@@ -325,19 +340,34 @@ def _padded_jet_grid(curve, s, tol_adm=DEFAULT_TOL_ADM):
     )
 
 
+SYNTHESIZED = synth_rectifying(0.5, 1.2, "1", (-1.5, 0.5), step=1e-3,
+                               margin=0.05).to_curve(-1.5, 0.5)
+
 # CURVE_CORPUS, a grid with NaN rows (lightlike at s = -1 and s = 1) and a
-# synthesized sampled curve
+# synthesized sampled curve.  The "-blocks" grids span three blocks of
+# frenet_grid and more: the bulk curve; the lightlike curve, its NaN rows the
+# first of blocks 0 and 2; and the sampled curve on 2,001 points in blocks of
+# 1,000, whose edges fall inside the 512-point passes of spline.evaluate.
 REFERENCE_CURVES = {
     **dict(corpus_curves()),
     "lightlike": curve_from_exprs("s^2/2", "s^3/6", -1.0, 2.0, samples=6001),
-    "synthesized": synth_rectifying(0.5, 1.2, "1", (-1.5, 0.5), step=1e-3,
-                                    margin=0.05).to_curve(-1.5, 0.5),
+    "synthesized": SYNTHESIZED,
+    "cosh-blocks": curve_from_exprs("1.5*cosh(s)", "1.5*sinh(s)", -2.0, 2.0,
+                                    samples=3 * frenet._BLOCK + 1),
+    "lightlike-blocks": curve_from_exprs("s^2/2", "s^3/6", -1.0, 2.0,
+                                         samples=3 * frenet._BLOCK + 1),
+    "synthesized-blocks": dataclasses.replace(SYNTHESIZED, samples=2001),
 }
+BLOCK_SIZES = {"synthesized-blocks": 1000}
 
 
 class TestClosedFormFrame:
-    @pytest.mark.parametrize("curve", REFERENCE_CURVES.values(), ids=REFERENCE_CURVES)
-    def test_bitwise_equal_to_padded_jets(self, curve):
+    @pytest.mark.parametrize("curve_id", REFERENCE_CURVES)
+    def test_bitwise_equal_to_padded_jets(self, curve_id, monkeypatch):
+        curve = REFERENCE_CURVES[curve_id]
+        block = BLOCK_SIZES.get(curve_id, frenet._BLOCK)
+        monkeypatch.setattr(frenet, "_BLOCK", block)
+        assert curve.samples > 2 * block or not curve_id.endswith("-blocks")
         grid = frenet_grid(curve, strict=False)
         reference = _padded_jet_grid(curve, grid.s)
         assert set(reference) == {name for name, value in vars(grid).items()
@@ -364,4 +394,4 @@ class TestClosedFormFrame:
         finally:
             tracemalloc.stop()
         kept = sum(v.nbytes for v in vars(grid).values() if isinstance(v, np.ndarray))
-        assert peak <= 2.5 * kept, f"peak {peak / kept:.2f} times the grid's arrays"
+        assert peak <= 1.3 * kept, f"peak {peak / kept:.2f} times the grid's arrays"
