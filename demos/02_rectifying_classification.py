@@ -16,7 +16,6 @@ from pgcurves import (
     ORIGIN,
     classify_rectifying,
     curve_from_exprs,
-    frame_components,
     frame_components_arrays,
     frenet_grid,
     rectifying_drift,
@@ -33,9 +32,9 @@ print(f"  beta_max = {verdict.beta_max:.6f} (normal component is "
 print(f"  tau/kappa line: a = {verdict.a:.2e}, b = {verdict.b_coef:.6f} "
       "(slope must be nonzero)")
 
-fc = frame_components(curve, 0.8, ORIGIN)
-print(f"  components at s=0.8: alpha={fc.alpha:.6f} beta={fc.beta:.6f} "
-      f"gamma={fc.gamma:.6f}")
+fc = frame_components_arrays(frenet_grid(curve, np.array([0.8])), ORIGIN)
+print(f"  components at s=0.8: alpha={fc.alpha[0]:.6f} beta={fc.beta[0]:.6f} "
+      f"gamma={fc.gamma[0]:.6f}")
 
 # --- synthesize a genuine rectifying curve -------------------------------
 m1, n1 = 0.5, 1.2

@@ -8,7 +8,7 @@ curvature and torsion by integrating the frame equations from the canonical
 start frame.
 """
 
-from .space import ORIGIN, CausalCharacter, PGVector3, causal_character, det3, pg_inner
+from .space import ORIGIN, PGVector3, det3, pg_inner
 from .jets import DomainError, Jet3
 from .dsl import (
     LexError,
@@ -27,20 +27,16 @@ from .frenet import (
     check_admissible,
     curve_from_exprs,
     curve_from_samples,
-    frame_at,
     frenet_grid,
-    frenet_residuals,
     torsion_det,
 )
 from .classify import (
     ConstantInvariantFit,
     DegenerateFit,
     RectifyingVerdict,
-    SingularFrame,
     classify_rectifying,
     constant_invariant_jets,
     fit_constant_invariant,
-    frame_components,
     frame_components_arrays,
 )
 from .synth import (

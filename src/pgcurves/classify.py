@@ -36,14 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frenet import CurveDef, FrenetGrid, NotAdmissible, frenet_grid
+from .frenet import FrenetGrid, NotAdmissible
 from .jets import Jet3, jet_exp, jet_variable
-from .space import ORIGIN, PGVector3, plane_det, plane_product
+from .space import PGVector3, plane_det, plane_product
 
 __all__ = [
-    "SingularFrame", "DegenerateFit",
-    "FrameComponents", "FrameDecomposition", "frame_components",
-    "frame_components_arrays", "RectifyingVerdict",
+    "DegenerateFit", "FrameDecomposition", "frame_components_arrays",
+    "RectifyingVerdict",
     "classify_rectifying",
     "ConstantInvariantFit", "constant_invariant_jets", "fit_constant_invariant",
     "DEFAULT_TOL_EXACT", "DEFAULT_TOL_SAMPLED",
@@ -59,21 +58,8 @@ DEFAULT_TOL_SAMPLED = 1e-4
 _TOL_SAMPLED_SPREAD = 1e-2
 
 
-class SingularFrame(Exception):
-    """Defensive guard: the isotropic-plane frame matrix was singular."""
-
-
 class DegenerateFit(Exception):
     """Too few grid points to classify."""
-
-
-@dataclass(frozen=True)
-class FrameComponents:
-    """Coefficients of r(s) - p0 in the frame basis {t, n, b}."""
-
-    alpha: float
-    beta: float
-    gamma: float
 
 
 @dataclass(frozen=True)
@@ -94,18 +80,9 @@ def frame_components_arrays(grid: FrenetGrid, p0: PGVector3) -> FrameDecompositi
     py = grid.r[:, 1] - p0.y - alpha * grid.t_y
     pz = grid.r[:, 2] - p0.z - alpha * grid.t_z
     det = plane_det(grid.n_y, grid.n_z, grid.b_y, grid.b_z)
-    if np.any(np.abs(det) < 0.5):
-        raise SingularFrame("frame matrix in the isotropic plane is singular")
     beta = plane_det(py, pz, grid.b_y, grid.b_z) / det
     gamma = plane_det(grid.n_y, grid.n_z, py, pz) / det
     return FrameDecomposition(grid, alpha, beta, gamma)
-
-
-def frame_components(curve: CurveDef, s: float, p0: PGVector3 = ORIGIN) -> FrameComponents:
-    """Decompose r(s) - p0 in the Frenet basis at one parameter value."""
-    grid = frenet_grid(curve, np.array([float(s)]), strict=True)
-    dec = frame_components_arrays(grid, p0)
-    return FrameComponents(float(dec.alpha[0]), float(dec.beta[0]), float(dec.gamma[0]))
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ import numpy as np
 
 from . import spline
 from .dsl import Expr, as_expr
-from .jets import Jet3
-from .space import PGVector3, plane_det, plane_product
+from .jets import DomainError, Jet3
+from .space import plane_det, plane_product
 
 DEFAULT_TOL_ADM = 1e-12
 # largest spread of x - s that curve_from_samples accepts as a constant offset
@@ -52,9 +52,8 @@ _BLOCK = 8192
 
 __all__ = [
     "DEFAULT_TOL_ADM", "NotAdmissible", "SampleError", "SampledComponents", "CurveDef",
-    "curve_from_exprs", "curve_from_samples", "FrenetData", "FrenetGrid",
-    "AdmissibilityReport", "check_admissible", "frenet_grid", "frame_at",
-    "torsion_det", "frenet_residuals",
+    "curve_from_exprs", "curve_from_samples", "FrenetGrid",
+    "AdmissibilityReport", "check_admissible", "frenet_grid", "torsion_det",
 ]
 
 
@@ -148,14 +147,6 @@ class CurveDef:
         return tuple(Jet3(*(_broadcast(c, shape) for c in (j.v, j.d1, j.d2, j.d3)))
                      for j in (self.y.jet3(s), self.z.jet3(s)))
 
-    def position(self, s):
-        """Coordinates (x, y, z) at parameter values s (scalar or array)."""
-        yj, zj = self.jets(s)
-        x = s + self.x_offset
-        if isinstance(s, np.ndarray):
-            return x, yj.v, zj.v
-        return x, float(yj.v), float(zj.v)
-
 
 def curve_from_exprs(y, z, s_min: float, s_max: float, samples: int = 1001) -> CurveDef:
     """Build an exact-path curve from expression sources (strings or Expr) in s."""
@@ -183,19 +174,6 @@ def curve_from_samples(s, y, z, x=None) -> CurveDef:
             raise SampleError("x must equal s plus a constant: curves are in graph form",
                               int(row))
     return CurveDef(None, None, float(s[0]), float(s[-1]), int(s.size), x_offset, sampled)
-
-
-@dataclass(frozen=True)
-class FrenetData:
-    """Frame, orientation sign and invariants of a curve at one parameter."""
-
-    s: float
-    t: PGVector3
-    n: PGVector3
-    b: PGVector3
-    eps: float
-    kappa: float
-    tau: float
 
 
 @dataclass(frozen=True)
@@ -229,19 +207,6 @@ class FrenetGrid:
     res_n: np.ndarray
     res_b: np.ndarray
 
-    def frame(self, i: int) -> FrenetData:
-        if not self.ok[i]:
-            raise NotAdmissible(f"curve not admissible at s={float(self.s[i])!r}")
-        return FrenetData(
-            s=float(self.s[i]),
-            t=PGVector3(1.0, float(self.t_y[i]), float(self.t_z[i])),
-            n=PGVector3(0.0, float(self.n_y[i]), float(self.n_z[i])),
-            b=PGVector3(0.0, float(self.b_y[i]), float(self.b_z[i])),
-            eps=float(self.eps[i]),
-            kappa=float(self.kappa[i]),
-            tau=float(self.tau[i]),
-        )
-
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
@@ -270,7 +235,8 @@ def frenet_grid(curve: CurveDef, s=None, tol_adm: float = DEFAULT_TOL_ADM,
     """Evaluate the full Frenet apparatus on a grid of parameter values.
 
     With strict=True any inadmissible point raises NotAdmissible; otherwise
-    such points are NaN-masked and flagged in the ok array.  tol_adm must be
+    such points are NaN-masked and flagged in the ok array.  A y''^2 - z''^2
+    that is not finite raises DomainError, strict or not.  tol_adm must be
     finite and positive, or ValueError is raised.  The grid's arrays are
     allocated once and filled _BLOCK points at a time.
     """
@@ -303,9 +269,14 @@ def _fill_rows(curve: CurveDef, grid: FrenetGrid, rows: slice):
     np.add(s, curve.x_offset, out=r[:, 0])
     r[:, 1], r[:, 2] = yj.v, zj.v
 
-    # y''^2 - z''^2: its sign is eps and its root magnitude is kappa
+    # y''^2 - z''^2: its sign is eps and its root magnitude is kappa.  Past
+    # about 1e154 its squares overflow; the check below reports it
     d = grid.disc[rows]
-    d[...] = plane_product(yj.d2, zj.d2, yj.d2, zj.d2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d[...] = plane_product(yj.d2, zj.d2, yj.d2, zj.d2)
+    finite = np.isfinite(d)
+    if not finite.all():
+        raise DomainError(f"y''^2 - z''^2 is not finite from s={float(s[np.argmin(finite)])!r}")
     ok = np.greater_equal(np.abs(d), grid.tol_adm, out=grid.ok[rows])
     d_safe = np.where(ok, d, 1.0)
     eps = np.sign(d_safe, out=grid.eps[rows])
@@ -336,18 +307,13 @@ def _fill_rows(curve: CurveDef, grid: FrenetGrid, rows: slice):
             getattr(grid, name)[rows][bad] = np.nan
 
 
-def frame_at(curve: CurveDef, s: float) -> FrenetData:
-    """Frenet frame, orientation sign, curvature and torsion at one point."""
-    grid = frenet_grid(curve, np.array([float(s)]), strict=True)
-    return grid.frame(0)
-
-
 def torsion_det(curve: CurveDef, s):
     """Torsion computed from det(r', r'', r''') / kappa^2.
 
-    Algebraically identical to the torsion of frame_at but evaluated through
-    the determinant, so the two serve as independent implementations of the
-    same invariant.  Accepts a scalar or an array of parameter values.
+    Algebraically identical to the torsion of frenet_grid but evaluated
+    through the determinant, so the two serve as independent
+    implementations of the same invariant.  Accepts a scalar or an array of
+    parameter values.
     """
     yj, zj = curve.jets(np.atleast_1d(np.asarray(s, dtype=float)))
     d = plane_product(yj.d2, zj.d2, yj.d2, zj.d2)
@@ -358,15 +324,6 @@ def torsion_det(curve: CurveDef, s):
     # x components of r'' and r''' vanish identically in graph form.
     tau = (yj.d2 * zj.d3 - zj.d2 * yj.d3) / (kappa * kappa)
     return float(tau[0]) if np.ndim(s) == 0 else tau
-
-
-def frenet_residuals(curve: CurveDef, s):
-    """Euclidean norms of t' - kappa n, n' - tau b, b' - tau n at s."""
-    scalar = np.ndim(s) == 0
-    grid = frenet_grid(curve, np.atleast_1d(np.asarray(s, dtype=float)), strict=True)
-    if scalar:
-        return float(grid.res_t[0]), float(grid.res_n[0]), float(grid.res_b[0])
-    return grid.res_t, grid.res_n, grid.res_b
 
 
 def check_admissible(grid: FrenetGrid) -> AdmissibilityReport:

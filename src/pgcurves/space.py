@@ -12,16 +12,6 @@ floats or arrays; eps, kappa, tau and the frame checks all use them.
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-
-
-class CausalCharacter(Enum):
-    """Causal type of a vector under the degenerate metric."""
-
-    NON_ISOTROPIC = "non-isotropic"
-    ISOTROPIC_SPACELIKE = "isotropic-spacelike"
-    ISOTROPIC_TIMELIKE = "isotropic-timelike"
-    ISOTROPIC_LIGHTLIKE = "isotropic-lightlike"
 
 
 @dataclass(frozen=True)
@@ -41,20 +31,6 @@ class PGVector3:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"non-finite component {name}={value!r}")
-
-    def __add__(self, other: "PGVector3") -> "PGVector3":
-        return PGVector3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "PGVector3") -> "PGVector3":
-        return PGVector3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "PGVector3":
-        return PGVector3(-self.x, -self.y, -self.z)
-
-    def __mul__(self, scale: float) -> "PGVector3":
-        return PGVector3(self.x * scale, self.y * scale, self.z * scale)
-
-    __rmul__ = __mul__
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
@@ -93,18 +69,6 @@ def pg_inner(u: PGVector3, v: PGVector3) -> float:
     if u.x != 0.0 or v.x != 0.0:
         return u.x * v.x
     return plane_product(u.y, u.z, v.y, v.z)
-
-
-def causal_character(u: PGVector3) -> CausalCharacter:
-    """Classify a vector as non-isotropic or by its isotropic causal type."""
-    if u.x != 0.0:
-        return CausalCharacter.NON_ISOTROPIC
-    w = plane_product(u.y, u.z, u.y, u.z)
-    if w > 0.0:
-        return CausalCharacter.ISOTROPIC_SPACELIKE
-    if w < 0.0:
-        return CausalCharacter.ISOTROPIC_TIMELIKE
-    return CausalCharacter.ISOTROPIC_LIGHTLIKE
 
 
 def det3(u: PGVector3, v: PGVector3, w: PGVector3) -> float:

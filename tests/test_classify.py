@@ -8,10 +8,9 @@ from pgcurves.classify import (
     classify_rectifying,
     constant_invariant_jets,
     fit_constant_invariant,
-    frame_components,
     frame_components_arrays,
 )
-from pgcurves.frenet import NotAdmissible, curve_from_exprs, frame_at, frenet_grid
+from pgcurves.frenet import NotAdmissible, curve_from_exprs, frenet_grid
 from pgcurves.space import ORIGIN, PGVector3
 from pgcurves.synth import integrate_frenet, profile
 from pgcurves.verify import run_all
@@ -24,74 +23,79 @@ def _decompose(curve):
     return frame_components_arrays(frenet_grid(curve), ORIGIN)
 
 
-def _position(curve, s):
-    x, y, z = curve.position(s)
-    return PGVector3(float(x), float(y), float(z))
+def _at(curve, s):
+    """The grid of the one point s, and r(s) on it."""
+    g = frenet_grid(curve, np.array([s]))
+    return g, g.r[0]
 
 
+# components at single points, decomposed on grids of those points
 class TestFrameComponents:
     def test_cosh_sinh_at_zero(self):
-        fc = frame_components(COSH_SINH, 0.0, ORIGIN)
-        assert fc.alpha == pytest.approx(0.0, abs=1e-14)
-        assert fc.beta == pytest.approx(1.0, rel=1e-12)
-        assert fc.gamma == pytest.approx(0.0, abs=1e-12)
+        g, _ = _at(COSH_SINH, 0.0)
+        fc = frame_components_arrays(g, ORIGIN)
+        assert fc.alpha[0] == pytest.approx(0.0, abs=1e-14)
+        assert fc.beta[0] == pytest.approx(1.0, rel=1e-12)
+        assert fc.gamma[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_basis_vector_recovered(self):
-        s = 0.8
-        f = frame_at(COSH_SINH, s)
-        p0 = _position(COSH_SINH, s) - f.n
-        fc = frame_components(COSH_SINH, s, p0)
-        assert fc.alpha == pytest.approx(0.0, abs=1e-12)
-        assert fc.beta == pytest.approx(1.0, rel=1e-12)
-        assert fc.gamma == pytest.approx(0.0, abs=1e-12)
+        g, (x, y, z) = _at(COSH_SINH, 0.8)
+        p0 = PGVector3(float(x), float(y - g.n_y[0]), float(z - g.n_z[0]))
+        fc = frame_components_arrays(g, p0)
+        assert fc.alpha[0] == pytest.approx(0.0, abs=1e-12)
+        assert fc.beta[0] == pytest.approx(1.0, rel=1e-12)
+        assert fc.gamma[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_basis_combination_recovered(self):
-        s = 1.2
-        f = frame_at(COSH_SINH, s)
-        p0 = _position(COSH_SINH, s) - (2.0 * f.t + 3.0 * f.b)
-        fc = frame_components(COSH_SINH, s, p0)
-        assert fc.alpha == pytest.approx(2.0, rel=1e-12)
-        assert fc.beta == pytest.approx(0.0, abs=1e-11)
-        assert fc.gamma == pytest.approx(3.0, rel=1e-12)
+        # p0 = r - (2 t + 3 b), with t = (1, t_y, t_z) and b = (0, b_y, b_z)
+        g, (x, y, z) = _at(COSH_SINH, 1.2)
+        p0 = PGVector3(float(x - 2.0), float(y - (2.0 * g.t_y[0] + 3.0 * g.b_y[0])),
+                       float(z - (2.0 * g.t_z[0] + 3.0 * g.b_z[0])))
+        fc = frame_components_arrays(g, p0)
+        assert fc.alpha[0] == pytest.approx(2.0, rel=1e-12)
+        assert fc.beta[0] == pytest.approx(0.0, abs=1e-11)
+        assert fc.gamma[0] == pytest.approx(3.0, rel=1e-12)
 
     @pytest.mark.parametrize("curve", [COSH_SINH, PARABOLA])
     def test_reconstruction_everywhere(self, curve):
         p0 = PGVector3(0.3, -0.4, 0.9)
-        s = curve.grid()
-        g = frenet_grid(curve, s)
-        x, y, z = curve.position(s)
-        for i in range(0, s.size, 97):
-            fc = frame_components(curve, float(s[i]), p0)
-            rx = fc.alpha * 1.0
-            ry = fc.alpha * g.t_y[i] + fc.beta * g.n_y[i] + fc.gamma * g.b_y[i]
-            rz = fc.alpha * g.t_z[i] + fc.beta * g.n_z[i] + fc.gamma * g.b_z[i]
-            err = np.sqrt((rx - (x[i] - p0.x)) ** 2 + (ry - (y[i] - p0.y)) ** 2
-                          + (rz - (z[i] - p0.z)) ** 2)
-            assert err <= 1e-12 * (1.0 + abs(fc.alpha) + abs(fc.beta) + abs(fc.gamma))
+        g = frenet_grid(curve)
+        fc = frame_components_arrays(g, p0)
+        x, y, z = g.r.T
+        rx = fc.alpha * 1.0
+        ry = fc.alpha * g.t_y + fc.beta * g.n_y + fc.gamma * g.b_y
+        rz = fc.alpha * g.t_z + fc.beta * g.n_z + fc.gamma * g.b_z
+        err = np.sqrt((rx - (x - p0.x)) ** 2 + (ry - (y - p0.y)) ** 2
+                      + (rz - (z - p0.z)) ** 2)
+        assert np.all(err <= 1e-12 * (1.0 + np.abs(fc.alpha) + np.abs(fc.beta)
+                                      + np.abs(fc.gamma)))
 
     def test_origin_shift_covariance(self):
         # Shifting p0 along the x axis changes r - p0 by -delta (1, 0, 0).
         # The tangential coefficient absorbs -delta exactly; beta and gamma
         # pick up the decomposition of +delta (0, t_y, t_z) in {n, b}, which
         # only vanishes where the tangent has no isotropic part.
-        s, delta = 1.5, 5.0
-        f = frame_at(COSH_SINH, s)
-        base = frame_components(COSH_SINH, s, ORIGIN)
-        shifted = frame_components(COSH_SINH, s, PGVector3(delta, 0.0, 0.0))
-        assert shifted.alpha == pytest.approx(base.alpha - delta, rel=1e-12)
-        det = f.n.y * f.b.z - f.b.y * f.n.z
-        beta_shift = delta * (f.b.z * f.t.y - f.b.y * f.t.z) / det
-        gamma_shift = delta * (f.n.y * f.t.z - f.n.z * f.t.y) / det
-        assert shifted.beta == pytest.approx(base.beta + beta_shift, rel=1e-10)
-        assert shifted.gamma == pytest.approx(base.gamma + gamma_shift, rel=1e-10)
+        delta = 5.0
+        g, _ = _at(COSH_SINH, 1.5)
+        base = frame_components_arrays(g, ORIGIN)
+        shifted = frame_components_arrays(g, PGVector3(delta, 0.0, 0.0))
+        assert shifted.alpha[0] == pytest.approx(base.alpha[0] - delta, rel=1e-12)
+        t_y, t_z, n_y, n_z, b_y, b_z = (float(v[0]) for v in
+                                        (g.t_y, g.t_z, g.n_y, g.n_z, g.b_y, g.b_z))
+        det = n_y * b_z - b_y * n_z
+        beta_shift = delta * (b_z * t_y - b_y * t_z) / det
+        gamma_shift = delta * (n_y * t_z - n_z * t_y) / det
+        assert shifted.beta[0] == pytest.approx(base.beta[0] + beta_shift, rel=1e-10)
+        assert shifted.gamma[0] == pytest.approx(base.gamma[0] + gamma_shift, rel=1e-10)
 
     def test_origin_shift_leaves_plane_components_where_tangent_is_axial(self):
         # at the parabola vertex the tangent is purely non-isotropic
-        base = frame_components(PARABOLA, 0.0, ORIGIN)
-        shifted = frame_components(PARABOLA, 0.0, PGVector3(5.0, 0.0, 0.0))
-        assert shifted.alpha == pytest.approx(base.alpha - 5.0, rel=1e-12)
-        assert shifted.beta == pytest.approx(base.beta, abs=1e-13)
-        assert shifted.gamma == pytest.approx(base.gamma, abs=1e-13)
+        g, _ = _at(PARABOLA, 0.0)
+        base = frame_components_arrays(g, ORIGIN)
+        shifted = frame_components_arrays(g, PGVector3(5.0, 0.0, 0.0))
+        assert shifted.alpha[0] == pytest.approx(base.alpha[0] - 5.0, rel=1e-12)
+        assert shifted.beta[0] == pytest.approx(base.beta[0], abs=1e-13)
+        assert shifted.gamma[0] == pytest.approx(base.gamma[0], abs=1e-13)
 
     def test_inadmissible_grid_rejected(self):
         # y''^2 - z''^2 = s^4 - 1 vanishes at the grid point s = 1

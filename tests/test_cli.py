@@ -709,6 +709,22 @@ def test_huge_curvature_leaves_stderr_empty(tmp_path, command, output):
     assert out.stderr == ""
 
 
+# y''^2 - z''^2 overflows to inf from the first point on; warnings are errors,
+# so a numpy warning on the way fails the test
+@pytest.mark.parametrize("y, z", [("1e200*s^2", "s^3"), ("1e160*cosh(s)", "1e160*sinh(s)")],
+                         ids=["1e200-parabola", "1e160-cosh-sinh"])
+@pytest.mark.parametrize("command", ["analyze", "classify", "plot-data"])
+@pytest.mark.filterwarnings("error")
+def test_overflowing_curvature_exit_1(tmp_path, capfd, command, y, z):
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"y": y, "z": z, "s_min": 0.5, "s_max": 1.0, "samples": 11}))
+    code = main([command, "--input", str(curve), "--output", str(tmp_path / "out")])
+    assert code == 1
+    assert capfd.readouterr().err == ("pgcurves: input error: y''^2 - z''^2 is not finite "
+                                      "from s=0.5\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["curve.json"]
+
+
 @pytest.mark.parametrize("module", ["pgcurves", "pgcurves.cli"])
 def test_import_loads_no_scipy_subpackage(module):
     # The top-level scipy package (about 8 ms) stays imported, because the

@@ -316,8 +316,8 @@ class TestCurveFiles:
             "s_min": 0.0, "s_max": 2.0, "samples": 101}))
         curve = load_curve_json(path)
         assert curve.exact and curve.samples == 101
-        _, y, _ = curve.position(1.0)
-        assert y == pytest.approx(math.cosh(1.0), rel=1e-15)
+        yj, _ = curve.jets(1.0)
+        assert float(yj.v) == pytest.approx(math.cosh(1.0), rel=1e-15)
 
     def test_json_curve_missing_field(self, tmp_path):
         path = tmp_path / "curve.json"

@@ -14,12 +14,10 @@ from pgcurves.frenet import (
     check_admissible,
     curve_from_exprs,
     curve_from_samples,
-    frame_at,
     frenet_grid,
-    frenet_residuals,
     torsion_det,
 )
-from pgcurves.jets import Jet3, jet_sqrt
+from pgcurves.jets import DomainError, Jet3, jet_sqrt
 from pgcurves.space import PGVector3, det3, pg_inner, plane_det, plane_product
 from pgcurves.synth import synth_rectifying
 from pgcurves.verify import corpus_curves
@@ -27,6 +25,13 @@ from pgcurves.verify import corpus_curves
 
 def _admissibility(curve, tol_adm=DEFAULT_TOL_ADM):
     return check_admissible(frenet_grid(curve, tol_adm=tol_adm, strict=False))
+
+
+def _frame_vectors(g, i=0):
+    """t, n and b at row i of a FrenetGrid, as kernel vectors."""
+    return (PGVector3(1.0, float(g.t_y[i]), float(g.t_z[i])),
+            PGVector3(0.0, float(g.n_y[i]), float(g.n_z[i])),
+            PGVector3(0.0, float(g.b_y[i]), float(g.b_z[i])))
 
 
 COSH_SINH = curve_from_exprs("cosh(s)", "sinh(s)", 0.0, 2.0)
@@ -58,8 +63,7 @@ class TestCurveDef:
 
     def test_position_with_offset(self):
         c = dataclasses.replace(curve_from_exprs("s^2/2", "0", 0.0, 1.0), x_offset=3.0)
-        x, y, z = c.position(0.5)
-        assert (x, y, z) == (3.5, 0.125, 0.0)
+        assert frenet_grid(c, np.array([0.5])).r.tolist() == [[3.5, 0.125, 0.0]]
 
     def test_jets_on_both_paths(self):
         s = np.linspace(0.0, 2.0, 201)
@@ -154,39 +158,45 @@ class TestAdmissibility:
             assert check_admissible(grid).segments == scan(grid.s, d, grid.ok)
 
 
+# the apparatus at single points, read off grids of those points
 class TestFrameAt:
     def test_cosh_sinh_at_zero(self):
-        f = frame_at(COSH_SINH, 0.0)
-        assert f.kappa == pytest.approx(1.0, rel=1e-14)
-        assert f.tau == pytest.approx(1.0, rel=1e-14)
-        assert f.eps == 1.0
-        assert f.t == PGVector3(1.0, 0.0, 1.0)
-        assert f.n.as_tuple() == pytest.approx((0.0, 1.0, 0.0))
-        assert f.b.as_tuple() == pytest.approx((0.0, 0.0, 1.0))
+        g = frenet_grid(COSH_SINH, np.array([0.0]))
+        t, n, b = _frame_vectors(g)
+        assert g.kappa[0] == pytest.approx(1.0, rel=1e-14)
+        assert g.tau[0] == pytest.approx(1.0, rel=1e-14)
+        assert g.eps[0] == 1.0
+        assert t == PGVector3(1.0, 0.0, 1.0)
+        assert n.as_tuple() == pytest.approx((0.0, 1.0, 0.0))
+        assert b.as_tuple() == pytest.approx((0.0, 0.0, 1.0))
 
     def test_parabola_constant_frame(self):
-        for s in (-0.5, 0.0, 0.7):
-            f = frame_at(PARABOLA, s)
-            assert f.kappa == 1.0 and f.tau == 0.0 and f.eps == 1.0
-            assert f.n == PGVector3(0.0, 1.0, 0.0)
-            assert f.b == PGVector3(0.0, 0.0, 1.0)
+        g = frenet_grid(PARABOLA, np.array([-0.5, 0.0, 0.7]))
+        for i in range(3):
+            _, n, b = _frame_vectors(g, i)
+            assert g.kappa[i] == 1.0 and g.tau[i] == 0.0 and g.eps[i] == 1.0
+            assert n == PGVector3(0.0, 1.0, 0.0)
+            assert b == PGVector3(0.0, 0.0, 1.0)
 
     def test_timelike_normal_branch(self):
         # y'' = 0, z'' = 2 puts the second derivative on the timelike side
-        f = frame_at(curve_from_exprs("s", "s^2", 0.0, 1.0), 0.3)
-        assert f.eps == -1.0
-        assert f.kappa == pytest.approx(2.0, rel=1e-14)
-        assert f.tau == 0.0
-        assert f.n.as_tuple() == pytest.approx((0.0, 0.0, 1.0))
-        assert f.b.as_tuple() == pytest.approx((0.0, -1.0, 0.0))
-        assert det3(f.t, f.n, f.b) == pytest.approx(1.0, abs=1e-14)
+        g = frenet_grid(curve_from_exprs("s", "s^2", 0.0, 1.0), np.array([0.3]))
+        t, n, b = _frame_vectors(g)
+        assert g.eps[0] == -1.0
+        assert g.kappa[0] == pytest.approx(2.0, rel=1e-14)
+        assert g.tau[0] == 0.0
+        assert n.as_tuple() == pytest.approx((0.0, 0.0, 1.0))
+        assert b.as_tuple() == pytest.approx((0.0, -1.0, 0.0))
+        assert det3(t, n, b) == pytest.approx(1.0, abs=1e-14)
 
     def test_not_admissible_raises(self):
         line = curve_from_exprs("s", "0", 0.0, 1.0)
         with pytest.raises(NotAdmissible, match=r"first at s=0\.5$"):
-            frame_at(line, 0.5)
-        with pytest.raises(NotAdmissible, match=r"^curve not admissible at s=0\.5$"):
-            frenet_grid(line, np.array([0.5]), strict=False).frame(0)
+            frenet_grid(line, np.array([0.5]))
+        # not strict, the point is flagged and its frame is NaN
+        g = frenet_grid(line, np.array([0.5]), strict=False)
+        assert not g.ok[0]
+        assert all(np.isnan(v[0]) for v in (g.eps, g.kappa, g.tau, g.n_y, g.b_z))
 
     def test_frame_invariants_across_corpus(self):
         for curve in CORPUS:
@@ -202,11 +212,12 @@ class TestFrameAt:
             assert np.all(g.kappa > 0)
 
     def test_frame_vectors_satisfy_kernel_products(self):
-        f = frame_at(COSH_SINH, 1.3)
-        assert pg_inner(f.t, f.t) == 1.0
-        assert pg_inner(f.n, f.b) == pytest.approx(0.0, abs=1e-15)
-        assert pg_inner(f.n, f.n) == pytest.approx(f.eps, rel=1e-12)
-        assert pg_inner(f.b, f.b) == pytest.approx(-f.eps, rel=1e-12)
+        g = frenet_grid(COSH_SINH, np.array([1.3]))
+        t, n, b = _frame_vectors(g)
+        assert pg_inner(t, t) == 1.0
+        assert pg_inner(n, b) == pytest.approx(0.0, abs=1e-15)
+        assert pg_inner(n, n) == pytest.approx(g.eps[0], rel=1e-12)
+        assert pg_inner(b, b) == pytest.approx(-g.eps[0], rel=1e-12)
 
 
 class TestTorsion:
@@ -250,13 +261,13 @@ class TestTorsion:
 
 class TestResiduals:
     def test_cosh_sinh_exact_path(self):
-        res = frenet_residuals(COSH_SINH, np.linspace(0, 2, 100))
-        for r in res:
+        g = frenet_grid(COSH_SINH, np.linspace(0, 2, 100))
+        for r in (g.res_t, g.res_n, g.res_b):
             assert np.max(r) <= 1e-10
 
     def test_parabola_zero_residuals(self):
-        res_t, res_n, res_b = frenet_residuals(PARABOLA, 0.3)
-        assert res_t == 0.0 and res_n == 0.0 and res_b == 0.0
+        g = frenet_grid(PARABOLA, np.array([0.3]))
+        assert g.res_t[0] == 0.0 and g.res_n[0] == 0.0 and g.res_b[0] == 0.0
 
     def test_corpus_residual_floor(self):
         for curve in CORPUS:
@@ -269,8 +280,8 @@ class TestResiduals:
         s = np.linspace(0.0, 2.0, 10_000)
         sampled = curve_from_samples(s, np.cosh(s), np.sinh(s))
         inner = np.linspace(0.05, 1.95, 500)
-        res = frenet_residuals(sampled, inner)
-        for r in res:
+        g = frenet_grid(sampled, inner)
+        for r in (g.res_t, g.res_n, g.res_b):
             assert np.max(r) <= 1e-5
 
 
@@ -306,6 +317,18 @@ class TestNonStrictGrid:
                 with pytest.raises(ValueError, match="tolerance tol_adm must be finite "
                                    f"and positive, got {tol_adm}"):
                     frenet_grid(c, tol_adm=tol_adm, strict=strict)
+
+    def test_overflowing_discriminant_raises_domain_error(self, monkeypatch):
+        # y'' = 1e154 (1 + s/10), so y''^2 passes 1.8e308 between s = 2 and
+        # 4, the first row of the second block; 2 y'' y''' stays finite
+        monkeypatch.setattr(frenet, "_BLOCK", 2)
+        c = curve_from_exprs("1e154*(s^2/2 + s^3/60)", "0", 0.0, 6.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for strict in (True, False):
+                with pytest.raises(DomainError, match=r"^y''\^2 - z''\^2 is not finite "
+                                                      r"from s=4\.0$"):
+                    frenet_grid(c, np.array([0.0, 2.0, 4.0, 6.0]), strict=strict)
 
 
 def _padded_jet_grid(curve, s, tol_adm=DEFAULT_TOL_ADM):
