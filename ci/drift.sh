@@ -37,9 +37,12 @@ curve "s^2/2" "s^3/6" -1 2 6001 > in/lightlike_blocks.json
 # two full blocks, ending on a block boundary
 curve "cosh(s)" "sinh(s)" 0 1 4096 > in/block_edge.json
 curve "cosh(s)" "sinh(s)" 0 0.005 1001 > in/short.json
-# kappa = 1e70, a finite frame: the one input whose stderr is kept,
-# since it should stay empty
+# kappa = 1e70, a finite frame: its stderr is kept, since it should stay
+# empty
 curve "1e70*cosh(s)" "1e70*sinh(s)" 0 1 51 > in/scaled.json
+# y''^2 - z''^2 finite, 2 y'' y''' (in kappa') overflowing from s = 0.849:
+# stderr kept, since it should hold one line and no numpy warning
+curve "exp(400*s)" "0" 0.84 0.855 11 > in/kappa_d1.json
 # y and z swapped, header kept: the rectifying curve with <b, b> = +1
 mirror() { awk -F, -v OFS=, 'NR > 1 { y = $3; $3 = $4; $4 = y } 1' "$1" > "$2"; }
 # one field appended to line 3: a row wider than the header
@@ -76,10 +79,14 @@ for side in base head; do
   run classify --input in/short.json --tol-classify 1e-5 --output out/short_verdict.json
   stderr=out/scaled.stderr run analyze --input in/scaled.json --output out/scaled
   stderr=out/scaled.stderr run classify --input in/scaled.json --output out/scaled_verdict.json
+  stderr=out/kappa_d1.stderr run analyze --input in/kappa_d1.json --output out/kappa_d1
+  stderr=out/kappa_d1.stderr run classify --input in/kappa_d1.json --output out/kappa_d1_verdict.json
+  stderr=out/kappa_d1.stderr run plot-data --input in/kappa_d1.json --output out/kappa_d1_series
   run verify --seed 0 --output out/verify.json
   run verify --seed 1 --output out/verify_seed1.json
   run verify --seed 0 --tol rectifying_slope=1e-12 --output out/verify_slope.json
   run verify --seed 0 --tol rectifying_properties=1e-12 --output out/verify_properties.json
+  stderr=out/verify_negative.stderr run verify --seed -1 --output out/verify_negative.json
   demos_var="${side}_demos"
   for demo in "${!demos_var}"/*.py; do
     name=$(basename "$demo" .py)

@@ -236,9 +236,11 @@ def frenet_grid(curve: CurveDef, s=None, tol_adm: float = DEFAULT_TOL_ADM,
 
     With strict=True any inadmissible point raises NotAdmissible; otherwise
     such points are NaN-masked and flagged in the ok array.  A y''^2 - z''^2
-    that is not finite raises DomainError, strict or not.  tol_adm must be
-    finite and positive, or ValueError is raised.  The grid's arrays are
-    allocated once and filled _BLOCK points at a time.
+    that is not finite raises DomainError, strict or not, and so does a
+    kappa' or tau that is not finite at an admissible point; the message
+    names the first such s.  tol_adm must be finite and positive, or
+    ValueError is raised.  The grid's arrays are allocated once and filled
+    _BLOCK points at a time.
     """
     if not 0.0 < tol_adm < math.inf:
         raise ValueError(f"tolerance tol_adm must be finite and positive, got {tol_adm}")
@@ -270,21 +272,30 @@ def _fill_rows(curve: CurveDef, grid: FrenetGrid, rows: slice):
     r[:, 1], r[:, 2] = yj.v, zj.v
 
     # y''^2 - z''^2: its sign is eps and its root magnitude is kappa.  Past
-    # about 1e154 its squares overflow; the check below reports it
+    # about 1e154 its squares overflow, and 2 y'' y''' (in kappa') and
+    # y'' z''' - y''' z'' (in tau) can overflow where d does not; the check
+    # below names the first s where one of the three is not finite
     d = grid.disc[rows]
     with np.errstate(over="ignore", invalid="ignore"):
         d[...] = plane_product(yj.d2, zj.d2, yj.d2, zj.d2)
-    finite = np.isfinite(d)
-    if not finite.all():
-        raise DomainError(f"y''^2 - z''^2 is not finite from s={float(s[np.argmin(finite)])!r}")
-    ok = np.greater_equal(np.abs(d), grid.tol_adm, out=grid.ok[rows])
-    d_safe = np.where(ok, d, 1.0)
-    eps = np.sign(d_safe, out=grid.eps[rows])
+        ok = np.greater_equal(np.abs(d), grid.tol_adm, out=grid.ok[rows])
+        d_safe = np.where(ok, d, 1.0)
+        eps = np.sign(d_safe, out=grid.eps[rows])
 
-    # kappa = sqrt(eps d) and kappa' = (eps d)' / (2 kappa), in the order of
-    # operations of the Jet3 reference in tests/test_frenet.py: bitwise equal
-    kappa = np.sqrt(eps * d_safe, out=grid.kappa[rows])
-    kappa_d1 = (0.5 / kappa) * (eps * (2.0 * plane_product(yj.d2, zj.d2, yj.d3, zj.d3)))
+        # kappa = sqrt(eps d) and kappa' = (eps d)' / (2 kappa), in the order
+        # of operations of the Jet3 reference in tests/test_frenet.py:
+        # bitwise equal
+        kappa = np.sqrt(eps * d_safe, out=grid.kappa[rows])
+        kappa_d1 = (0.5 / kappa) * (eps * (2.0 * plane_product(yj.d2, zj.d2, yj.d3, zj.d3)))
+        tau = np.divide(plane_det(yj.d2, zj.d2, yj.d3, zj.d3), eps * d_safe,
+                        out=grid.tau[rows])
+    # kappa' and tau count only at admissible points
+    finite = np.isfinite(d) & (np.isfinite(kappa_d1) & np.isfinite(tau) | ~ok)
+    if not finite.all():
+        i = np.argmin(finite)
+        name = ("y''^2 - z''^2" if not np.isfinite(d[i])
+                else "kappa'" if not np.isfinite(kappa_d1[i]) else "tau")
+        raise DomainError(f"{name} is not finite from s={float(s[i])!r}")
     n_y = np.divide(yj.d2, kappa, out=grid.n_y[rows])
     n_z = np.divide(zj.d2, kappa, out=grid.n_z[rows])
     n_y_d1 = (yj.d3 - n_y * kappa_d1) / kappa
@@ -293,8 +304,6 @@ def _fill_rows(curve: CurveDef, grid: FrenetGrid, rows: slice):
     # products are exact
     b_y = np.multiply(eps, n_z, out=grid.b_y[rows])
     b_z = np.multiply(eps, n_y, out=grid.b_z[rows])
-
-    tau = np.divide(plane_det(yj.d2, zj.d2, yj.d3, zj.d3), eps * d_safe, out=grid.tau[rows])
 
     np.hypot(yj.d2 - kappa * n_y, zj.d2 - kappa * n_z, out=grid.res_t[rows])
     np.hypot(n_y_d1 - tau * b_y, n_z_d1 - tau * b_z, out=grid.res_n[rows])

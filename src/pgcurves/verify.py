@@ -6,15 +6,21 @@ differential system they solve, synthesis vs re-analysis, jets vs finite
 differences) and reports the worst observed residual next to its tolerance.
 The suite is deterministic for a fixed seed.
 
-Each randomized check draws from its own generator, spawned from the seed.
-``run_all`` runs the rectifying round trips, its most expensive check, in a
-forked child while the parent runs the other checks; since no check's draws
-depend on another's, the report is byte-identical to an in-order run.
+Each randomized check draws from its own ``random.Random`` stream, seeded
+from the seed and the check's name alone (``streams``), and only through
+``Random.random()``, whose sequence for a given seed Python keeps across
+versions; ``numpy.random`` would load ``hashlib`` and OpenSSL for some 11,000
+draws.  ``run_all`` runs the rectifying round trips, its most expensive
+check, in a forked child while the parent runs the other checks; since no
+check's draws depend on another's, the report is byte-identical to an
+in-order run.  The round-trip checks name the draw behind their worst result
+in ``where``.
 """
 
 import math
 import os
 import pickle
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,18 +36,22 @@ from .frenet import curve_from_exprs, frenet_grid, torsion_det
 from .space import ORIGIN, PGVector3, plane_product
 from .synth import integrate_frenet, profile, rectifying_drift, synth_rectifying
 
-__all__ = ["CheckResult", "run_all", "CURVE_CORPUS", "PARSER_CORPUS",
+__all__ = ["CheckResult", "run_all", "streams", "CURVE_CORPUS", "PARSER_CORPUS",
            "DEFAULT_TOLERANCES", "corpus_curves"]
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome.  where names the draw behind worst: its index
+    and drawn parameters, or None for a check that does not report one."""
+
     name: str
     passed: bool
     worst: float
     tolerance: float
     count: int
     detail: str = ""
+    where: dict | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -51,7 +61,45 @@ class CheckResult:
             "tolerance": self.tolerance,
             "count": self.count,
             "detail": self.detail,
+            "where": self.where,
         }
+
+
+def streams(seed: int) -> dict[str, random.Random]:
+    """The random stream of each randomized check of run_all, by name.
+
+    Each is seeded with the string "<name> <seed>", so it depends on the
+    seed and its check alone.  A negative seed raises ValueError.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return {name: random.Random(f"{name} {seed}")
+            for name in ("torsion_equivalence", "constant_invariant_closed_forms",
+                         "constant_invariant_roundtrip", "rectifying_suite")}
+
+
+def _draw(rng: random.Random, lo: float, hi: float, size: int | None = None):
+    """lo + (hi - lo) u for u = rng.random(): a float, or an array of size draws.
+
+    Every draw of a randomized check goes through here.
+    """
+    if size is None:
+        return lo + (hi - lo) * rng.random()
+    return lo + (hi - lo) * np.array([rng.random() for _ in range(size)])
+
+
+def _sign(rng: random.Random, size: int | None = None):
+    """-1.0 where the draw u < 0.5, else 1.0: a float, or an array of size."""
+    u = _draw(rng, 0.0, 1.0, size)
+    if size is None:
+        return -1.0 if u < 0.5 else 1.0
+    return np.where(u < 0.5, -1.0, 1.0)
+
+
+def _worst(values, draws) -> tuple[float, dict]:
+    """The largest of values, a NaN before any number, and the draw it came from."""
+    i = int(np.argmax(values))
+    return float(values[i]), draws[i]
 
 
 # Analysis corpus: graph-form component pairs with both orientation signs,
@@ -153,7 +201,8 @@ def check_frenet_consistency(points: int = 1000, tol: float = 1e-9) -> CheckResu
                        "max frame-equation residual over the DSL corpus")
 
 
-def check_torsion_equivalence(rng, pairs: int = 10_000, tol: float = 1e-12) -> CheckResult:
+def check_torsion_equivalence(rng: random.Random, pairs: int = 10_000,
+                              tol: float = 1e-12) -> CheckResult:
     """Component torsion against determinant torsion at random points.
 
     pairs random parameters in all, spread over the corpus curves in order.
@@ -164,7 +213,7 @@ def check_torsion_equivalence(rng, pairs: int = 10_000, tol: float = 1e-12) -> C
     for (_, curve), (*_, lo, hi) in zip(corpus_curves(), CURVE_CORPUS):
         if count >= pairs:
             break
-        s = rng.uniform(lo, hi, size=min(per_curve, pairs - count))
+        s = _draw(rng, lo, hi, size=min(per_curve, pairs - count))
         tau_frame = frenet_grid(curve, s).tau
         tau_det = torsion_det(curve, s)
         denom = np.maximum(np.abs(tau_frame), np.abs(tau_det))
@@ -176,7 +225,7 @@ def check_torsion_equivalence(rng, pairs: int = 10_000, tol: float = 1e-12) -> C
                        "relative gap between the two torsion formulas")
 
 
-def check_constant_invariant_closed_forms(rng, draws: int = 100,
+def check_constant_invariant_closed_forms(rng: random.Random, draws: int = 100,
                                          tol: float = 1e-10) -> CheckResult:
     """The constant-invariant family substituted into the frame equations.
 
@@ -185,9 +234,9 @@ def check_constant_invariant_closed_forms(rng, draws: int = 100,
     the exponential factors remain <= e^5 and the rounding floor sits orders
     below the tolerance.
     """
-    kappa = rng.uniform(0.1, 10.0, (draws, 1))
-    tau = rng.uniform(0.1, 5.0, (draws, 1)) * rng.choice([-1.0, 1.0], (draws, 1))
-    m1, c_plus, c_minus = rng.uniform(-1.0, 1.0, (3, draws, 1))
+    kappa = _draw(rng, 0.1, 10.0, draws)[:, None]
+    tau = (_draw(rng, 0.1, 5.0, draws) * _sign(rng, draws))[:, None]
+    m1, c_plus, c_minus = _draw(rng, -1.0, 1.0, 3 * draws).reshape(3, draws, 1)
     alpha, beta, gamma = constant_invariant_jets(kappa, tau, m1, c_plus, c_minus,
                                                  np.linspace(0.0, 1.0, 101))
     worst = max(float(np.max(np.abs(alpha.d1 - 1.0))),
@@ -197,8 +246,8 @@ def check_constant_invariant_closed_forms(rng, draws: int = 100,
                        draws, "max residual of the three frame-component equations")
 
 
-def check_constant_invariant_roundtrip(rng, draws: int = 30, step: float = 1e-3,
-                                       tol: float = 1e-8) -> CheckResult:
+def check_constant_invariant_roundtrip(rng: random.Random, draws: int = 30,
+                                       step: float = 1e-3, tol: float = 1e-8) -> CheckResult:
     """Synthesize-classify round trips for randomized constant-invariant curves.
 
     Synthesis starts at r0 with the canonical frame, so at s = 0 the frame
@@ -206,30 +255,33 @@ def check_constant_invariant_roundtrip(rng, draws: int = 30, step: float = 1e-3,
     m1 = r0.x, and c_plus and c_minus through
     beta(0) = kappa/tau^2 + c_plus + c_minus and
     gamma(0) = -kappa m1/tau - c_plus + c_minus.  A draw whose fit does not
-    hold counts as an infinite error.
+    hold counts as an infinite error.  where holds the draw's index, kappa,
+    tau and r0.
     """
-    worst = 0.0
-    for _ in range(draws):
-        kappa = rng.uniform(0.5, 3.0)
-        tau = rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0])
-        r0 = PGVector3(*rng.uniform(-1.0, 1.0, 3).tolist())
+    errors, where = [], []
+    for index in range(draws):
+        kappa = _draw(rng, 0.5, 3.0)
+        tau = _draw(rng, 0.3, 2.0) * _sign(rng)
+        r0 = PGVector3(*(_draw(rng, -1.0, 1.0) for _ in range(3)))
+        where.append({"index": index, "kappa": kappa, "tau": tau, "r0": list(r0.as_tuple())})
         traj = integrate_frenet(profile(kappa, tau, 0.0, 2.0), step=step, r0=r0)
         dec = frame_components_arrays(frenet_grid(traj.to_curve(0.2, 1.8)), ORIGIN)
         verdict = classify_rectifying(dec)
         fit = fit_constant_invariant(dec, verdict)
         if not fit.holds:
-            worst = math.inf
+            errors.append(math.inf)
             continue
         c_sum = r0.y - kappa / tau ** 2          # c_plus + c_minus
         c_diff = r0.z + kappa * r0.x / tau       # c_minus - c_plus
-        worst = max(worst, abs(verdict.m1 - r0.x),
-                    abs(fit.c_plus - 0.5 * (c_sum - c_diff)),
-                    abs(fit.c_minus - 0.5 * (c_sum + c_diff)))
+        errors.append(max(abs(verdict.m1 - r0.x),
+                          abs(fit.c_plus - 0.5 * (c_sum - c_diff)),
+                          abs(fit.c_minus - 0.5 * (c_sum + c_diff))))
+    worst, at = _worst(errors, where)
     return CheckResult("constant_invariant_roundtrip", worst <= tol, worst, tol, draws,
-                       "worst recovery error of m1, c_plus and c_minus")
+                       "worst recovery error of m1, c_plus and c_minus", at)
 
 
-def check_rectifying_suite(rng, draws: int = 50, step: float = 1e-3,
+def check_rectifying_suite(rng: random.Random, draws: int = 50, step: float = 1e-3,
                            tol_beta: float = 1e-6, tol_params: float = 1e-5,
                            tol_slope: float = 1e-6, tol_conservation: float = 1e-6,
                            tol_properties: float = 1e-5) -> list[CheckResult]:
@@ -238,58 +290,56 @@ def check_rectifying_suite(rng, draws: int = 50, step: float = 1e-3,
     Windows of length 2 are centered on the vertex s = -m1 (where the
     tangential component vanishes): centering keeps the accumulated torsion
     integral small, so frame magnitudes stay ~e^3 and the conservation and
-    component checks are meaningful at the stated tolerances.
+    component checks are meaningful at the stated tolerances.  Each result's
+    where holds the index, m1, n1 and kappa of its worst draw.
     """
-    worst_beta = 0.0
-    worst_params = 0.0
-    worst_slope = 0.0
-    worst_cons = 0.0
-    worst_prop = 0.0
+    rows, where = [], []  # per draw: the five results' residuals; the draw itself
     worst_bb = 0.0
     all_verdicts = True
     all_props = True
-    for _ in range(draws):
-        m1 = rng.uniform(-2.0, 2.0)
-        n1 = rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0])
-        kappa = rng.uniform(0.5, 3.0)
+    for index in range(draws):
+        m1 = _draw(rng, -2.0, 2.0)
+        n1 = _draw(rng, 0.5, 3.0) * _sign(rng)
+        kappa = _draw(rng, 0.5, 3.0)
+        where.append({"index": index, "m1": m1, "n1": n1, "kappa": kappa})
         window = (-m1 - 1.0, -m1 + 1.0)
         traj = synth_rectifying(m1, n1, f"{kappa!r}", window, step=step, margin=0.05)
-        worst_cons = max(worst_cons, float(np.max(rectifying_drift(traj, m1, n1))))
-
         dec = frame_components_arrays(frenet_grid(traj.to_curve(*window)), ORIGIN)
         verdict = classify_rectifying(dec)
         all_verdicts = all_verdicts and verdict.is_rectifying
-        worst_beta = max(worst_beta, verdict.beta_max)
-        worst_params = max(worst_params, abs(verdict.m1 - m1), abs(verdict.n1 - n1))
-        worst_slope = max(worst_slope, abs(verdict.a * n1 + 1.0))
-
         all_props = all_props and verdict.signatures_hold(tol_properties)
-        worst_prop = max(worst_prop, verdict.rho_check, verdict.tangential_residual,
-                         verdict.normal_length_residual, verdict.gamma_spread)
+        rows.append((verdict.beta_max,
+                     max(abs(verdict.m1 - m1), abs(verdict.n1 - n1)),
+                     abs(verdict.a * n1 + 1.0),
+                     float(np.max(rectifying_drift(traj, m1, n1))),
+                     max(verdict.rho_check, verdict.tangential_residual,
+                         verdict.normal_length_residual, verdict.gamma_spread)))
 
         # these curves sit on the timelike-binormal branch: <b, b> = -1
         g = dec.grid
         bb = plane_product(g.b_y, g.b_z, g.b_y, g.b_z)
         worst_bb = max(worst_bb, float(np.max(np.abs(bb + 1.0))))
+    ((beta, beta_at), (params, params_at), (slope, slope_at), (cons, cons_at),
+     (prop, prop_at)) = (_worst(column, where) for column in zip(*rows))
     return [
-        CheckResult("rectifying_beta", all_verdicts and worst_beta <= tol_beta,
-                    worst_beta, tol_beta, draws,
-                    "max |beta| over synthesized rectifying curves"),
-        CheckResult("rectifying_params", worst_params <= tol_params,
-                    worst_params, tol_params, draws,
-                    "worst recovery error of m1 and n1"),
-        CheckResult("rectifying_slope", worst_slope <= tol_slope,
-                    worst_slope, tol_slope, draws,
-                    "worst |a*n1 + 1| of the tau/kappa line fit"),
-        CheckResult("conservation", worst_cons <= tol_conservation,
-                    worst_cons, tol_conservation, draws,
-                    "componentwise spread of r - (s+m1) t - n1 b"),
+        CheckResult("rectifying_beta", all_verdicts and beta <= tol_beta,
+                    beta, tol_beta, draws,
+                    "max |beta| over synthesized rectifying curves", beta_at),
+        CheckResult("rectifying_params", params <= tol_params,
+                    params, tol_params, draws,
+                    "worst recovery error of m1 and n1", params_at),
+        CheckResult("rectifying_slope", slope <= tol_slope,
+                    slope, tol_slope, draws,
+                    "worst |a*n1 + 1| of the tau/kappa line fit", slope_at),
+        CheckResult("conservation", cons <= tol_conservation,
+                    cons, tol_conservation, draws,
+                    "componentwise spread of r - (s+m1) t - n1 b", cons_at),
         CheckResult("rectifying_properties",
-                    all_props and worst_prop <= tol_properties
+                    all_props and prop <= tol_properties
                     and worst_bb <= tol_properties,
-                    worst_prop, tol_properties, draws,
+                    prop, tol_properties, draws,
                     "worst residual across the four rectifying signatures "
-                    "(binormal metric sign verified timelike)"),
+                    "(binormal metric sign verified timelike)", prop_at),
     ]
 
 
@@ -384,9 +434,10 @@ def check_jet_finite_difference(tol: float = 1e-6) -> CheckResult:
 def run_all(seed: int = 0, overrides: dict[str, float] | None = None) -> dict:
     """Run the whole suite and return a report dictionary.
 
-    overrides maps check names to replacement tolerances, each finite and
-    positive.  check_rectifying_suite runs in a forked child, which is
-    reaped before this returns or raises; its exception is re-raised here.
+    seed must be non-negative.  overrides maps check names to replacement
+    tolerances, each finite and positive.  check_rectifying_suite runs in a
+    forked child, which is reaped before this returns or raises; its
+    exception is re-raised here.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if overrides:
@@ -398,12 +449,11 @@ def run_all(seed: int = 0, overrides: dict[str, float] | None = None) -> dict:
                 raise ValueError(f"tolerance {name} must be finite and positive, got {value}")
         tol.update(overrides)
 
-    torsion_rng, closed_form_rng, roundtrip_rng, rectifying_rng = (
-        np.random.default_rng(seed).spawn(4))
+    rngs = streams(seed)
 
     def rectifying_suite():
         return check_rectifying_suite(
-            rectifying_rng, tol_beta=tol["rectifying_beta"],
+            rngs["rectifying_suite"], tol_beta=tol["rectifying_beta"],
             tol_params=tol["rectifying_params"], tol_slope=tol["rectifying_slope"],
             tol_conservation=tol["conservation"],
             tol_properties=tol["rectifying_properties"])
@@ -413,11 +463,14 @@ def run_all(seed: int = 0, overrides: dict[str, float] | None = None) -> dict:
         with pipe:
             head = [
                 check_frenet_consistency(points=1000, tol=tol["frenet_consistency"]),
-                check_torsion_equivalence(torsion_rng, tol=tol["torsion_equivalence"]),
+                check_torsion_equivalence(rngs["torsion_equivalence"],
+                                          tol=tol["torsion_equivalence"]),
                 check_constant_invariant_closed_forms(
-                    closed_form_rng, tol=tol["constant_invariant_closed_forms"]),
+                    rngs["constant_invariant_closed_forms"],
+                    tol=tol["constant_invariant_closed_forms"]),
                 check_constant_invariant_roundtrip(
-                    roundtrip_rng, tol=tol["constant_invariant_roundtrip"]),
+                    rngs["constant_invariant_roundtrip"],
+                    tol=tol["constant_invariant_roundtrip"]),
             ]
             tail = [
                 check_integrator_order(),
@@ -431,7 +484,7 @@ def run_all(seed: int = 0, overrides: dict[str, float] | None = None) -> dict:
     checks = head + _child_result(payload, status) + tail
 
     return {
-        "schema": 2,
+        "schema": 3,
         "seed": int(seed),
         "passed": all(c.passed for c in checks),
         "checks": [c.as_dict() for c in checks],

@@ -17,6 +17,7 @@ from pgcurves.cli import main
 from pgcurves.fileio import load_curve
 from pgcurves.frenet import CurveDef, frenet_grid
 from pgcurves.space import ORIGIN, plane_product
+from pgcurves.synth import synth_rectifying
 
 
 @pytest.fixture
@@ -554,6 +555,35 @@ class TestVerify:
             failed = [c for c in payload["checks"] if not c["passed"]]
             assert [c["name"] for c in failed] == [name]
 
+    def test_failed_check_names_its_draw(self, tmp_path):
+        out = tmp_path / "slope.json"
+        assert main(["verify", "--output", str(out), "--seed", "0",
+                     "--tol", "rectifying_slope=1e-12"]) == 3
+        payload = json.loads(out.read_text())
+        assert payload["schema"] == 3
+        checks = {c["name"]: c for c in payload["checks"]}
+        slope = checks["rectifying_slope"]
+        assert slope["passed"] is False
+        assert sorted(slope["where"]) == ["index", "kappa", "m1", "n1"]
+        assert checks["frenet_consistency"]["where"] is None
+        assert sorted(checks["constant_invariant_roundtrip"]["where"]) == [
+            "index", "kappa", "r0", "tau"]
+        # the named draw, synthesized and classified again, gives the worst
+        # residual bit for bit
+        m1, n1, kappa = (slope["where"][k] for k in ("m1", "n1", "kappa"))
+        window = (-m1 - 1.0, -m1 + 1.0)
+        traj = synth_rectifying(m1, n1, f"{kappa!r}", window, step=1e-3, margin=0.05)
+        verdict = classify_rectifying(
+            frame_components_arrays(frenet_grid(traj.to_curve(*window)), ORIGIN))
+        assert abs(verdict.a * n1 + 1.0) == slope["worst"]
+
+    def test_negative_seed_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "v.json"
+        assert main(["verify", "--output", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == (
+            "pgcurves: input error: seed must be non-negative, got -1\n")
+        assert not out.exists()
+
     def test_unknown_tolerance_exit_1(self, tmp_path):
         code = main(["verify", "--output", str(tmp_path / "v.json"),
                      "--tol", "bogus=1"])
@@ -709,19 +739,23 @@ def test_huge_curvature_leaves_stderr_empty(tmp_path, command, output):
     assert out.stderr == ""
 
 
-# y''^2 - z''^2 overflows to inf from the first point on; warnings are errors,
-# so a numpy warning on the way fails the test
-@pytest.mark.parametrize("y, z", [("1e200*s^2", "s^3"), ("1e160*cosh(s)", "1e160*sinh(s)")],
-                         ids=["1e200-parabola", "1e160-cosh-sinh"])
+# y''^2 - z''^2 overflows to inf from the first point on, or, on the exp(400 s)
+# window, 2 y'' y''' (in kappa') overflows from s = 0.849 while y''^2 - z''^2
+# stays finite; warnings are errors, so a numpy warning on the way fails the test
+@pytest.mark.parametrize("y, z, s_min, s_max, message", [
+    ("1e200*s^2", "s^3", 0.5, 1.0, "y''^2 - z''^2 is not finite from s=0.5"),
+    ("1e160*cosh(s)", "1e160*sinh(s)", 0.5, 1.0, "y''^2 - z''^2 is not finite from s=0.5"),
+    ("exp(400*s)", "0", 0.84, 0.855, "kappa' is not finite from s=0.849"),
+], ids=["1e200-parabola", "1e160-cosh-sinh", "exp400-kappa-d1"])
 @pytest.mark.parametrize("command", ["analyze", "classify", "plot-data"])
 @pytest.mark.filterwarnings("error")
-def test_overflowing_curvature_exit_1(tmp_path, capfd, command, y, z):
+def test_overflowing_curvature_exit_1(tmp_path, capfd, command, y, z, s_min, s_max, message):
     curve = tmp_path / "curve.json"
-    curve.write_text(json.dumps({"y": y, "z": z, "s_min": 0.5, "s_max": 1.0, "samples": 11}))
+    curve.write_text(json.dumps({"y": y, "z": z, "s_min": s_min, "s_max": s_max,
+                                 "samples": 11}))
     code = main([command, "--input", str(curve), "--output", str(tmp_path / "out")])
     assert code == 1
-    assert capfd.readouterr().err == ("pgcurves: input error: y''^2 - z''^2 is not finite "
-                                      "from s=0.5\n")
+    assert capfd.readouterr().err == f"pgcurves: input error: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["curve.json"]
 
 
@@ -778,15 +812,17 @@ def _output_bytes(path):
 def test_cold_sampled_command_loads_no_scipy_subpackage(tmp_path, cosh_sinh_csv, command):
     # the quintic spline is numpy code around one LAPACK call, dgbsv, whose
     # extension module loads from its own file: a sampled curve imports
-    # neither scipy.linalg nor the spline stack
+    # neither scipy.linalg nor the spline stack.  verify draws from
+    # random.Random, so numpy.random, and OpenSSL with it, stays unloaded
     args = ["--seed", "0"] if command == "verify" else ["--input", str(cosh_sinh_csv)]
     output = "report.json" if command in ("classify", "verify") else "out"
     cold, warm = tmp_path / "cold" / output, tmp_path / "warm" / output
     probe = ("import sys, scipy, pgcurves.cli; "
              f"code = pgcurves.cli.main([{command!r}, *{args!r}, '--output', {str(cold)!r}]); "
-             "print(code, sorted(m for m in scipy.submodules if 'scipy.' + m in sys.modules))")
+             "print(code, sorted(m for m in scipy.submodules if 'scipy.' + m in sys.modules), "
+             "*(m in sys.modules for m in ('numpy.random', 'secrets', 'hashlib', '_hashlib')))")
     out = _run_fresh_interpreter(probe)
-    assert out.stdout.split() == ["0", "[]"]
+    assert out.stdout.split() == ["0", "[]", "False", "False", "False", "False"]
     assert main([command, *args, "--output", str(warm)]) == 0
     assert _output_bytes(cold) == _output_bytes(warm)
 

@@ -3,7 +3,6 @@
 import json
 import os
 
-import numpy as np
 import pytest
 
 from pgcurves import classify, verify
@@ -22,31 +21,34 @@ from pgcurves.verify import (
     check_rectifying_suite,
     check_torsion_equivalence,
     run_all,
+    streams,
 )
 
 
 def _in_order_report(seed):
     # every check in report order, in one process, each randomized check on
-    # its own generator spawned from the seed
+    # its own stream from the seed
     tol = DEFAULT_TOLERANCES
-    torsion, closed_forms, roundtrip, rectifying = np.random.default_rng(seed).spawn(4)
+    rngs = streams(seed)
     checks = [
         check_frenet_consistency(points=1000, tol=tol["frenet_consistency"]),
-        check_torsion_equivalence(torsion, tol=tol["torsion_equivalence"]),
+        check_torsion_equivalence(rngs["torsion_equivalence"], tol=tol["torsion_equivalence"]),
         check_constant_invariant_closed_forms(
-            closed_forms, tol=tol["constant_invariant_closed_forms"]),
-        check_constant_invariant_roundtrip(roundtrip, tol=tol["constant_invariant_roundtrip"]),
+            rngs["constant_invariant_closed_forms"],
+            tol=tol["constant_invariant_closed_forms"]),
+        check_constant_invariant_roundtrip(rngs["constant_invariant_roundtrip"],
+                                           tol=tol["constant_invariant_roundtrip"]),
         *check_rectifying_suite(
-            rectifying, tol_beta=tol["rectifying_beta"], tol_params=tol["rectifying_params"],
-            tol_slope=tol["rectifying_slope"], tol_conservation=tol["conservation"],
-            tol_properties=tol["rectifying_properties"]),
+            rngs["rectifying_suite"], tol_beta=tol["rectifying_beta"],
+            tol_params=tol["rectifying_params"], tol_slope=tol["rectifying_slope"],
+            tol_conservation=tol["conservation"], tol_properties=tol["rectifying_properties"]),
         check_integrator_order(),
         check_frame_constants(tol=tol["frame_constants"]),
         check_parser_corpus(),
         check_jet_finite_difference(tol=tol["jet_finite_difference"]),
     ]
     return {
-        "schema": 2,
+        "schema": 3,
         "seed": seed,
         "passed": all(c.passed for c in checks),
         "checks": [c.as_dict() for c in checks],
