@@ -32,10 +32,11 @@ cd "$drift/run"
 curve() { printf '{"param": "s", "y": "%s", "z": "%s", "s_min": %s, "s_max": %s, "samples": %s}' "$@"; }
 curve "1.5*cosh(s)" "1.5*sinh(s)" -2 2 10001 > in/bulk.json
 curve "s^2/2" "s^3/6" 0 2 201 > in/lightlike.json
-# lightlike at rows 0 and 4,000: null rows in two blocks of 2,048
+# lightlike at rows 0 and 4,000: null rows in two blocks
 curve "s^2/2" "s^3/6" -1 2 6001 > in/lightlike_blocks.json
-# two full blocks, ending on a block boundary
-curve "cosh(s)" "sinh(s)" 0 1 4096 > in/block_edge.json
+# 26 full blocks of 157 rows (2,048 values over 13 columns), ending on a
+# block boundary
+curve "cosh(s)" "sinh(s)" 0 1 4082 > in/block_edge.json
 curve "cosh(s)" "sinh(s)" 0 0.005 1001 > in/short.json
 # kappa = 1e70, a finite frame: its stderr is kept, since it should stay
 # empty
@@ -66,6 +67,9 @@ for side in base head; do
   run classify --input in/bulk.json --output out/bulk_verdict.json
   run synthesize --kappa 1 --tau 0.5 --frames --output out/synth.csv
   run synthesize --m1=0.5 --n1=1.2 --kappa 1 --frames --output out/rect.csv
+  # 5,001 rows in blocks of 204: b_y and b_z, which are n_z and n_y
+  # formatted once, cross 24 block edges
+  run synthesize --kappa 1 --tau 0.5 --s-max 5 --frames --output out/synth_long.csv
   run classify --input out/rect.csv --output out/rect_verdict.json
   run plot-data --input out/rect.csv --output out/rect_series
   run analyze --input out/synth.csv --output out/synth_analysis

@@ -62,11 +62,20 @@ def _parse_tol_entry(entry: str) -> tuple[str, float]:
     return name, float(value)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subcommands' parsers, whose
+    errors (a value it cannot convert, a missing or unknown argument) raise
+    ValueError, so main reports them as input errors on one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 # built once per process: parse_args leaves the parser unchanged and gives
 # every call a fresh Namespace, so --tol lists never carry over
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pgcurves",
         description="Frenet analysis, classification and synthesis of "
                     "admissible curves in pseudo-Galilean 3-space.")
@@ -280,8 +289,8 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for name in ("tol_adm", "tol_classify"):
             value = getattr(args, name, None)
             if value is not None and not 0.0 < value < math.inf:

@@ -6,21 +6,24 @@ files (17 significant digits also round-trip IEEE doubles exactly).  JSON is
 strict: a non-finite float is written as null.  CSV and .dat tables keep
 format_float's NaN, Infinity and -Infinity.
 
-Float tables are written in blocks of _BLOCK (2,048) rows: for each block,
-each distinct column's slice is formatted once, that block's rows are joined
-and written, and every string of the block is dropped before the next block
-is formatted, so no table's text, not even one column, is ever held whole.
-format_floats formats a column with a numpy kernel that writes the bytes of
-format(x, ".17g"): the 17 digits are an exactly rounded double-double product
-with a power of ten, and a table of byte masks lays them out as %g does; two
-more mask rows write 0 and -0.  Non-finite values, magnitudes outside
-[1e-250, 1e270] and values within 1e-6 of a rounding tie go to format_float,
-the scalar formatter and the tests' reference.  What is formatted once:
-analyze writes its CSV and its JSON rows (one FloatTable) in lockstep from
-the same block strings, with null in the JSON for each non-finite value; a
-FloatTable given one array as two columns formats it once, as a synthesized
-trajectory's b_y and b_z are its n_z and n_y; and write_series writes
-plot-data's four series in lockstep, from one formatting of each block of s.
+Float tables are written a block of rows at a time, about _BLOCK (2,048)
+values to a block.  A numpy kernel writes the bytes of format(x, ".17g") for
+a whole block: the 17 digits are an exactly rounded double-double product
+with a power of ten, and a table of byte masks lays them out as %g does;
+more mask rows write 0 and -0, and the first L bytes of format_float's text,
+which non-finite values, magnitudes outside [1e-250, 1e270] and values
+within 1e-6 of a rounding tie take.  One boolean select then gives the
+block's text, row by row, each value followed by a terminator byte of its
+column, and no string per value is built.  A table's terminators are codes
+that no number holds: its CSV maps them to commas and newlines with one
+bytes.translate, and its JSON rows replace each with the text up to the
+next value, after NaN and the infinities become null.  .dat series take
+" " and a newline directly.  Each block's bytes are written and dropped
+before the next block is formatted, so no table's text is ever held whole.
+What is formatted once: each distinct column of a block, which the select
+gathers into every place it is named; so analyze's CSV and JSON rows share
+one formatting, a synthesized trajectory's b_y and b_z (its n_z and n_y)
+are formatted once, and plot-data's four series share each block of s.
 The generic recursive dump serves small payloads and is the reference the
 block writer must match byte for byte.
 
@@ -48,7 +51,7 @@ from .dsl import parse_expr
 from .frenet import CurveDef, FrenetGrid, SampleError, curve_from_exprs, curve_from_samples
 
 __all__ = [
-    "format_float", "format_floats", "FloatTable",
+    "format_float", "FloatTable",
     "dumps_json", "write_json",
     "load_curve_json", "load_curve_csv", "load_curve",
     "write_trajectory_csv", "frenet_table", "write_series",
@@ -73,14 +76,13 @@ def format_float(x: float) -> str:
 def format_floats(values) -> list[str]:
     """[format_float(x) for x in values] for a 1-D float array, byte for byte.
 
-    The numpy kernel below formats the column in blocks of _BLOCK values;
-    format_float takes the few values the kernel leaves to it.
+    The kernel's text of each value as a string, for the tests; the writers
+    never build a string per value.
     """
-    arr = np.asarray(values, dtype=float)
-    text: list[str] = []
-    for start in range(0, arr.size, _BLOCK):
-        text += _format_block(arr[start:start + _BLOCK])
-    return text
+    column = np.asarray(values, dtype=float).reshape(-1, 1)
+    text = b"".join(_format_block(column[start:start + _BLOCK], [([0], b"\n")])[0]
+                    for start in range(0, len(column), _BLOCK))
+    return text.decode("ascii").split("\n")[:-1]
 
 
 # The kernel.  For |x| in [_KERNEL_MIN, _KERNEL_MAX] and k = floor(log10|x|),
@@ -92,11 +94,12 @@ def format_floats(values) -> list[str]:
 # non-finite values and other magnitudes out of range go to format_float, and
 # zeros take the mask rows of 0 and -0.
 # The range keeps every partial product normal and the split free of overflow.
-# Tables are built on first use.  A block of 2048 values keeps every temporary
-# under glibc's 128 KiB mmap threshold (the byte rows are 112 KiB), so a
-# long-running process formats without page faults; np.compress builds an
-# 8-byte index per kept byte, which at this size faulted about 130 times a
-# call, so the rows are cut with a boolean index instead.
+# Tables are built on first use.  About _BLOCK = 2048 values per call keeps
+# every temporary under glibc's 128 KiB mmap threshold (the byte rows are
+# 112 KiB), so a long-running process formats without page faults;
+# np.compress builds an 8-byte index per kept byte, which at this size
+# faulted about 130 times a call, so the rows are cut with a boolean index
+# instead.
 _BLOCK = 2048
 _KERNEL_MIN, _KERNEL_MAX = 1e-250, 1e270
 _TIE_BAND = 1e-6
@@ -105,12 +108,13 @@ _K_MIN, _K_MAX = -252, 272  # k over the range, one off after a redo or a carry
 
 # One value's byte row, seven 8-byte words: " -0.000" d0, the other 16
 # digits, "." and pad, the 16 digits again (read after the point), and
-# "e" sign e2 e1 e0, pad and a newline.  A row of _keep_masks() selects the
-# bytes that %.17g prints.
+# "e" sign e2 e1 e0, pad and the terminator that follows the value.  A row
+# of _keep_masks() selects the bytes that %.17g prints and the terminator.
 _ROW = b" -0.0000" + b"0" * 16 + b".       " + b"0" * 16 + b"e+000  \n"
 _LEAD, _POINT, _FRAC, _EXP = 7, 24, 32, 48
 _CASES = 23  # exponents -4..16 in fixed notation, then e+XX and e+XXX
-_FALLBACK_ROW = 2 * _CASES * 17  # keeps the newline alone; 0 and -0 follow
+_ZERO_ROW = 2 * _CASES * 17  # 0, then -0
+_PREFIX_ROW = _ZERO_ROW + 2  # + L keeps the first L bytes: format_float's text
 _GROUP_OFFSETS = np.arange(4) * 10_000
 
 
@@ -154,7 +158,8 @@ def _kernel_tables():
 
 def _keep_masks():
     """Bool rows over _ROW, one per (negative, case, digits kept - 1), then
-    the fallback row and the rows of 0 and -0.
+    the rows of 0 and -0, then one per prefix length L from 0 to len(_ROW) - 1.
+    Every row keeps the terminator.
 
     Case c < 21 is fixed notation with exponent c - 4; 21 and 22 are
     scientific notation with a 2- and a 3-digit exponent.
@@ -176,7 +181,8 @@ def _keep_masks():
     keep = keep | ((p == 1) & (neg == 1)) | end
     # byte 2 is always "0" and byte 1 the "-" sign
     zero = end | (p == 2)
-    return np.vstack([keep.reshape(-1, len(_ROW)), end, zero, zero | (p == 1)])
+    prefix = end | (p < p[:, None])
+    return np.vstack([keep.reshape(-1, len(_ROW)), zero, zero | (p == 1), prefix])
 
 
 def _scaled(a, kk, powers):
@@ -191,8 +197,28 @@ def _scaled(a, kk, powers):
     return p.astype(np.int64) + q_floor.astype(np.int64), q - q_floor
 
 
-def _format_block(x) -> list[str]:
-    powers, exponents, case_rows, lead, group_words, last_digit, masks = _kernel_tables()
+def _format_block(values, layouts) -> list[bytes]:
+    """The text of a block of rows, values[i, j] being row i's value of
+    distinct column j: each value is formatted once.  For each layout
+    (index, ends), the bytes of every row in turn, and in a row, for each j,
+    the text of values[i, index[j]] and then the byte ends[j]."""
+    masks = _kernel_tables()[-1]
+    words, row = _byte_rows(values.ravel())
+    words = words.reshape(*values.shape, -1)
+    row = row.reshape(values.shape)
+    text = []
+    for index, ends in layouts:
+        chars = np.take(words, index, axis=1).view(np.uint8)
+        chars[:, :, -1] = np.frombuffer(ends, dtype=np.uint8)
+        keep = np.take(masks, np.take(row, index, axis=1), axis=0)
+        text.append(chars.ravel()[keep.ravel()].tobytes())
+    return text
+
+
+def _byte_rows(x):
+    """The byte row and the mask row of each value of x; the kernel's
+    temporaries are gone by the time its rows are selected."""
+    powers, exponents, case_rows, lead, group_words, last_digit, _ = _kernel_tables()
     a = np.abs(x)
     ok = (a >= _KERNEL_MIN) & (a <= _KERNEL_MAX)
     a = np.where(ok, a, 1.0)  # format_float takes these; 1.0 keeps the arithmetic finite
@@ -220,8 +246,7 @@ def _format_block(x) -> list[str]:
     row = (np.take(case_rows, kk) + np.maximum(np.maximum(last[:, 0], last[:, 1]),
                                                np.maximum(last[:, 2], last[:, 3]))
            + np.signbit(x) * (_CASES * 17))
-    row = np.where(ok, row, _FALLBACK_ROW + (x == 0) * (1 + np.signbit(x)))
-    bad = row == _FALLBACK_ROW
+    row = np.where(ok, row, _ZERO_ROW + np.signbit(x))
 
     words = np.empty((x.size, len(_ROW) // 8), dtype=np.uint64)
     words[:, 0] = np.take(lead, lead_digit)
@@ -230,13 +255,15 @@ def _format_block(x) -> list[str]:
     words[:, 2] = words[:, 5] = digits[:, 1]
     words[:, 3] = np.frombuffer(_ROW, dtype=np.uint64)[3]
     words[:, 6] = np.take(exponents, kk)
+    for i in np.flatnonzero(~ok & (x != 0)).tolist():
+        text = format_float(x[i]).encode("ascii")
+        words[i].view(np.uint8)[:len(text)] = np.frombuffer(text, dtype=np.uint8)
+        row[i] = _PREFIX_ROW + len(text)
+    return words, row
 
-    kept = words.view(np.uint8).ravel()[np.take(masks, row, axis=0).ravel()]
-    text = kept.tobytes().decode("ascii").split("\n")
-    text.pop()
-    for i in np.flatnonzero(bad).tolist():
-        text[i] = format_float(x[i])
-    return text
+
+# bytes that no formatted value holds, one to end each column's values
+_CODES = bytes(range(0x80, 0x100))
 
 
 class FloatTable:
@@ -246,11 +273,14 @@ class FloatTable:
     [{name: float(column[i]) for each column} for each row i].  A column
     passed as two columns is formatted once.  Given a csv path, dumping the
     table as JSON rows also writes it there as CSV, each block of rows from
-    the same strings.
+    the same bytes.  A table holds at most 128 columns: the kernel ends
+    column j's values with the byte 0x80 + j.
     """
 
     def __init__(self, names, columns, csv=None):
         self.names = tuple(names)
+        if len(self.names) > len(_CODES):
+            raise ValueError(f"a FloatTable holds at most {len(_CODES)} columns")
         self.csv = csv
         columns = list(columns)  # keeps each id taken below unique
         distinct = {id(column): column for column in columns}
@@ -260,67 +290,60 @@ class FloatTable:
         self.rows = len(self.columns[0]) if columns else 0
 
 
-def _json_text(values, text) -> list[str]:
-    """text with null in place of each non-finite value."""
-    bad = np.flatnonzero(~np.isfinite(values)).tolist()
-    if bad:
-        text = list(text)
-        for i in bad:
-            text[i] = "null"
-    return text
-
-
-def _join_rows(columns, heads, tail, last_tail=None) -> str:
-    """Row i is heads[0] columns[0][i] heads[1] columns[1][i] ... tail; the
-    rows joined into one string, filled column by column.  The last row ends
-    in last_tail, if given, in place of tail."""
-    n = len(columns[0])
-    stride = 2 * len(columns) + 1
-    parts = [tail] * (stride * n)
-    for j, (head, column) in enumerate(zip(heads, columns)):
-        parts[2 * j::stride] = [head] * n
-        parts[2 * j + 1::stride] = column
-    if last_tail is not None:
-        parts[-1] = last_tail
-    return "".join(parts)
+def _write_blocks(columns, layouts, write):
+    """Call write(start, *texts) with _format_block's texts of the layouts
+    for each block of rows from row start.  A block holds about _BLOCK
+    values of the widest layout, so each temporary of a call stays one
+    block's, and its texts are dropped before the next block is formatted."""
+    width = max(len(columns), *(len(index) for index, _ in layouts))
+    step = max(1, _BLOCK // width)
+    for start in range(0, len(columns[0]), step):
+        write(start, *_format_block(
+            np.column_stack([column[start:start + step] for column in columns]), layouts))
 
 
 def _write_rows(table: FloatTable, csv=None, out=None, pad=""):
-    """Write a table's rows a block at a time: as CSV lines to the text file
-    csv, and as _dump writes a list of row dicts to the parts out, flushed
-    after each block.  Both take each block's strings from one formatting."""
-    heads = tail = None
-    if out is not None:
-        if not table.rows:
+    """Write a table's rows a block at a time: as CSV lines to the binary
+    file csv, and as _dump writes a list of row dicts to the parts out,
+    flushed after each block.  Both come from one select of each block.
+
+    Each value ends in its column's code.  The CSV maps the codes to "," and
+    a newline, the JSON to the text up to the next value: the next field's
+    head, or the row's tail and the next row's first head.  A block's last
+    code is cut and written as the next block's first part, so the last row
+    ends the list."""
+    if not table.rows:
+        if out is not None:
             out.append("[]")
-            return
-        heads = [f",\n{pad}    {json.dumps(name)}: " for name in table.names]
-        heads[0] = f"{pad}  {{\n{pad}    {json.dumps(table.names[0])}: "
-        tail = f"\n{pad}  }},\n"
-        out.append("[\n")
-    for start in range(0, table.rows, _BLOCK):
-        # one call per block: its strings are gone before the next is formatted
-        _write_block(table, start, csv, out, heads, tail)
+        return
+    codes = _CODES[:len(table.names)]
+    to_csv = bytes.maketrans(codes, b"," * (len(codes) - 1) + b"\n")
     if out is not None:
-        out.append("\n" + pad + "]")
+        first = f"{pad}  {{\n{pad}    {json.dumps(table.names[0])}: "
+        row_end = f"\n{pad}  }}"
+        next_row = f"{row_end},\n{first}"
+        heads = [f",\n{pad}    {json.dumps(name)}: ".encode() for name in table.names[1:]]
+        heads.append(next_row.encode())
+        out.append("[\n" + first)
 
+    def write(start, text):
+        if csv is not None:
+            csv.write(text.translate(to_csv))
+        if out is not None:
+            if b"N" in text or b"I" in text:  # only NaN and the infinities hold them
+                text = (text.replace(b"-Infinity", b"null").replace(b"Infinity", b"null")
+                        .replace(b"NaN", b"null"))
+            text = text[:-1]
+            for j, head in enumerate(heads):
+                text = text.replace(codes[j:j + 1], head)
+            if start:
+                out.append(next_row)
+            out.append(text.decode())
+            out.flush()
 
-def _write_block(table: FloatTable, start: int, csv, out, heads, tail):
-    """Write the block of rows from row start as _write_rows does."""
-    values = [column[start:start + _BLOCK] for column in table.columns]
-    text = [format_floats(v) for v in values]
-    if csv is not None:
-        # joined row by row: faster than _join_rows at 10 and more columns,
-        # slower at the 2 of a series
-        csv.write("\n".join(map(",".join, zip(*(text[i] for i in table.index)))))
-        csv.write("\n")
+    _write_blocks(table.columns, [(table.index, codes)], write)
     if out is not None:
-        text = [_json_text(v, t) for v, t in zip(values, text)]
-        # the last row takes no comma
-        last = start + _BLOCK >= table.rows
-        out.append(_join_rows([text[i] for i in table.index], heads, tail,
-                              tail[:-2] if last else None))
-        out.flush()
+        out.append(row_end + "\n" + pad + "]")
 
 
 class _Parts(list):
@@ -505,8 +528,8 @@ def load_curve(path) -> CurveDef:
 def _write_table(path, table: FloatTable, out=None, pad=""):
     """Write a table as CSV to path and, given JSON parts out, its JSON rows
     along with it (see _write_rows)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(table.names) + "\n")
+    with open(path, "wb") as handle:
+        handle.write((",".join(table.names) + "\n").encode())
         _write_rows(table, csv=handle, out=out, pad=pad)
 
 
@@ -534,13 +557,12 @@ def write_series(path, s, values, *more):
     of rows at a time, and each block of s is formatted once for all of them.
     """
     series = [(path, values), *more]
-    s = np.asarray(s, dtype=float)
-    columns = [np.asarray(v, dtype=float) for _, v in series]
+    columns = [np.asarray(c, dtype=float) for c in [s] + [v for _, v in series]]
     with contextlib.ExitStack() as stack:
-        handles = [stack.enter_context(open(p, "w", encoding="utf-8")) for p, _ in series]
-        for start in range(0, s.size, _BLOCK):
-            rows = slice(start, start + _BLOCK)
-            s_text = format_floats(s[rows])
-            for handle, column in zip(handles, columns):
-                handle.write(_join_rows([s_text, format_floats(column[rows])], ("", " "), "\n"))
-            del s_text  # dropped before the next block of s is formatted
+        handles = [stack.enter_context(open(p, "wb")) for p, _ in series]
+
+        def write(start, *texts):
+            for handle, text in zip(handles, texts):
+                handle.write(text)
+
+        _write_blocks(columns, [([0, k], b" \n") for k in range(1, len(columns))], write)

@@ -17,7 +17,7 @@ from pgcurves.cli import main
 from pgcurves.fileio import load_curve
 from pgcurves.frenet import CurveDef, frenet_grid
 from pgcurves.space import ORIGIN, plane_product
-from pgcurves.synth import synth_rectifying
+from pgcurves.synth import integrate_frenet, profile, synth_rectifying
 
 
 @pytest.fixture
@@ -241,7 +241,7 @@ class TestAnalyze:
         assert "NaN" in (tmp_path / "report.csv").read_text()
 
     # The writer holds one block of rows at a time, not the whole report, and
-    # drops its strings before it formats the next block: the grid and its
+    # drops its bytes before it formats the next block: the grid and its
     # admissibility report are made before tracing starts, so the peak is
     # what writing 50,001 rows of CSV and JSON allocates.
     def test_writer_memory_is_bounded(self, tmp_path, monkeypatch):
@@ -260,7 +260,7 @@ class TestAnalyze:
         finally:
             tracemalloc.stop()
         assert (tmp_path / "report.csv").read_text().count("\n") == 50002
-        assert peak < 3.5 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+        assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
     def test_determinism(self, tmp_path, cosh_sinh_file):
         for name in ("a", "b"):
@@ -488,6 +488,22 @@ class TestSynthesize:
         header = out.read_text().splitlines()[0]
         assert header == "s,x,y,z,t_y,t_z,n_y,n_z,b_y,b_z"
 
+    # the trajectory is made before tracing starts, so the peak is what
+    # writing its 2,001 rows of 10 columns allocates
+    def test_writer_memory_is_bounded(self, tmp_path, monkeypatch):
+        traj = integrate_frenet(profile("1", "0.5", 0.0, 2.0), step=1e-3)
+        monkeypatch.setattr(pgcurves.cli, "integrate_frenet", lambda *args, **kwargs: traj)
+        out = tmp_path / "curve.csv"
+        tracemalloc.start()
+        try:
+            assert main(["synthesize", "--kappa", "1", "--tau", "0.5", "--frames",
+                         "--output", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.read_text().count("\n") == 2002
+        assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
     def test_non_positive_curvature_exit_2(self, tmp_path):
         code = main(["synthesize", "--kappa", "s", "--tau", "0",
                      "--s-min", "-1", "--s-max", "1",
@@ -639,7 +655,7 @@ class TestPlotData:
             tracemalloc.stop()
         for name in ("kappa", "tau", "tau_over_kappa", "beta"):
             assert (tmp_path / "series" / f"{name}.dat").read_text().count("\n") == 20001
-        assert peak < 1.5 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+        assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
     # the count and the first s are over the whole grid, not one block
     def test_inadmissible_count_spans_blocks(self, tmp_path, capfd):
@@ -689,6 +705,36 @@ def test_non_finite_tolerance_exit_1(tmp_path, cosh_sinh_file, capsys, command, 
     assert main(argv) == 1
     assert "must be finite and positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+# argparse's own errors are input errors too: exit 1 with one line, not the
+# usage and argparse's exit 2, which is the admissibility code
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--input", "c.json", "--output", "out", "--samples", "abc"],
+     "argument --samples: invalid int value: 'abc'"),
+    (["classify", "--input", "c.json", "--output", "out", "--tol-classify", "abc"],
+     "argument --tol-classify: invalid float value: 'abc'"),
+    (["synthesize", "--kappa", "1", "--tau", "1", "--output", "out", "--step", "abc"],
+     "argument --step: invalid float value: 'abc'"),
+    (["verify", "--output", "out", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+    (["plot-data", "--input", "c.json", "--output", "out", "--samples", "abc"],
+     "argument --samples: invalid int value: 'abc'"),
+    (["analyze", "--input", "c.json"], "the following arguments are required: --output"),
+    ([], "the following arguments are required: command"),
+], ids=["analyze", "classify", "synthesize", "verify", "plot-data", "missing", "none"])
+def test_malformed_arguments_exit_1(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"pgcurves: input error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pgcurves")
 
 
 @pytest.mark.parametrize("command, flag", [

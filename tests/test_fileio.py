@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -91,6 +92,16 @@ _EDGE_CASES = {
         [5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308, 0.0,
          1e-250, 1e270, 1.7976931348623157e308, np.inf, np.nan]),
 }
+
+
+def _first_difference(text, expected):
+    """None if the texts are equal, else the first offset where they differ
+    with the text around it there: a short report where == would make pytest
+    diff megabytes."""
+    if text == expected:
+        return None
+    at = len(os.path.commonprefix([text, expected]))
+    return at, text[at - 80:at + 80], expected[at - 80:at + 80]
 
 
 class TestFormatFloats:
@@ -238,63 +249,103 @@ class TestFloatTable:
             assert path.read_text() == "".join(f"{format_float(a)} {format_float(b)}\n"
                                                for a, b in zip(s, values))
 
-    # each block of s is formatted once for all the series, before theirs
-    def test_series_share_each_block_of_s(self, tmp_path, monkeypatch):
+    # every value of the edge cases and of 10^5 random bit patterns (NaN, the
+    # infinities, zeros, subnormals, ties, magnitudes outside the kernel's
+    # range) through both writers, against the scalar path: dumps_json of
+    # plain row dicts, and format_float lines.  Three columns, one of them
+    # passed twice, make blocks of _BLOCK // 4 rows; None takes every value.
+    @pytest.mark.parametrize("n", [0, 1, fileio._BLOCK // 4 - 1, fileio._BLOCK // 4,
+                                   fileio._BLOCK // 4 + 1, None])
+    def test_writers_match_scalar_reference(self, n, tmp_path):
+        rng = np.random.default_rng(31)
+        bits = rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64).view(np.float64)
+        pool = rng.permutation(np.concatenate([make() for make in _EDGE_CASES.values()]
+                                              + [bits]))
+        n = len(pool) // 3 if n is None else n
+        a, b, c = pool[:3 * n].reshape(3, n)
+        names = ("a", "b", "c", "b_again")
+        csv, report = tmp_path / "table.csv", tmp_path / "report.json"
+        write_json(report, {"rows": FloatTable(names, [a, b, c, b], csv=csv)})
+        rows = [dict(zip(names, row)) for row in zip(a.tolist(), b.tolist(), c.tolist(),
+                                                     b.tolist())]
+        assert _first_difference(report.read_text(), dumps_json({"rows": rows})) is None
+        text = [[format_float(x) for x in column.tolist()] for column in (a, b, c)]
+        lines = [",".join(names)] + [",".join(row) for row in zip(*text, text[1])]
+        assert _first_difference(csv.read_text(), "".join(f"{line}\n" for line in lines)) is None
+        paths = [tmp_path / f"{name}.dat" for name in names[1:]]
+        write_series(paths[0], a, b, (paths[1], c), (paths[2], b))
+        for path, column in zip(paths, [text[1], text[2], text[1]]):
+            assert _first_difference(path.read_text(), "".join(
+                f"{s} {v}\n" for s, v in zip(text[0], column))) is None
+
+    def _spy(self, monkeypatch):
+        """The values and layout indices of every call of the kernel."""
         calls = []
+        kernel = fileio._format_block
 
-        def spy(values):
-            calls.append(len(values))
-            return format_floats(values)
+        def spy(values, layouts):
+            calls.append((values.copy(), [list(index) for index, _ in layouts]))
+            return kernel(values, layouts)
 
-        monkeypatch.setattr(fileio, "format_floats", spy)
+        monkeypatch.setattr(fileio, "_format_block", spy)
+        return calls
+
+    @staticmethod
+    def _formatted_once(calls, columns):
+        """Whether the calls' values, block after block, are the columns, bit
+        for bit, each row once."""
+        values = np.concatenate([values for values, _ in calls])
+        return np.array_equal(values.view(np.uint64),
+                              np.column_stack(columns).view(np.uint64))
+
+    # one call per block of rows, with s and each series as its distinct
+    # columns and one layout per series file: each block of s is formatted
+    # once for all the series.  Four columns make blocks of _BLOCK // 4 rows.
+    def test_series_share_each_block_of_s(self, tmp_path, monkeypatch):
+        calls = self._spy(monkeypatch)
         s, *columns = self._columns(4097)
         paths = [tmp_path / f"{name}.dat" for name in ("a", "b", "c")]
         write_series(paths[0], s, columns[0], *zip(paths[1:], columns[1:]))
-        assert calls == [2048] * 8 + [1] * 4
+        assert [len(values) for values, _ in calls] == [512] * 8 + [1]
+        assert all(layouts == [[0, 1], [0, 2], [0, 3]] for _, layouts in calls)
+        assert self._formatted_once(calls, [s] + columns)
 
     # each block of each distinct column is formatted once, for the CSV and
-    # the JSON rows together
+    # the JSON rows together, and gathered into the column passed twice.
+    # Five named columns make blocks of _BLOCK // 5 rows.
     def test_column_passed_twice_is_formatted_once(self, tmp_path, monkeypatch):
-        calls = []
-
-        def spy(values):
-            calls.append(len(values))
-            return format_floats(values)
-
-        monkeypatch.setattr(fileio, "format_floats", spy)
+        calls = self._spy(monkeypatch)
         columns = self._columns(4097)
         names = ("a", "b", "c", "d", "e")
         csv, report = tmp_path / "table.csv", tmp_path / "report.json"
         write_json(report, FloatTable(names, columns + [columns[1]], csv=csv))
-        assert calls == [2048] * 8 + [1] * 4
+        assert [len(values) for values, _ in calls] == [409] * 10 + [7]
+        assert all(layouts == [[0, 1, 2, 3, 1]] for _, layouts in calls)
+        assert self._formatted_once(calls, columns)
         assert csv.read_text() == self._csv(columns + [columns[1]], names)
         assert report.read_text() == dumps_json(self._as_dicts(columns + [columns[1]], names))
 
-    # s^2/2, s^3/6 is lightlike at s = -1 and 1: on [-1, 2] with 3,073 samples
-    # at the first row of each block, on [-3, 1] with 4,095 at the last.  Each
-    # block of each of the 13 distinct columns is formatted once, and the JSON
-    # rows hold the CSV's strings, with null for the non-finite ones.
+    # s^2/2, s^3/6 is lightlike at s = -1 and 1; its 13 columns make blocks
+    # of _BLOCK // 13 = 157 rows.  On [-1, 2] with 3,298 samples the null
+    # rows are the first of blocks 0 and 14, on [-3, 1] with 4,081 the last
+    # of blocks 12 and 25.  Each block of each column is formatted once, and
+    # the JSON rows hold the CSV's text, with null for the non-finite values.
     def test_csv_and_json_share_strings(self, tmp_path, monkeypatch):
-        calls = []
-
-        def spy(values):
-            calls.append(len(values))
-            return format_floats(values)
-
         names = fileio.FRENET_COLUMNS
-        for s_min, s_max, samples, null_rows in [(-1.0, 2.0, 3073, [0, 2048]),
-                                                 (-3.0, 1.0, 4095, [2047, 4094])]:
+        for s_min, s_max, samples, null_rows in [(-1.0, 2.0, 3298, [0, 2198]),
+                                                 (-3.0, 1.0, 4081, [2040, 4080])]:
             curve = tmp_path / "curve.json"
             curve.write_text(json.dumps({"y": "s^2/2", "z": "s^3/6", "s_min": s_min,
                                          "s_max": s_max, "samples": samples}))
             columns = [getattr(frenet_grid(load_curve(curve), strict=False), name)
                        for name in names]
-            calls.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(fileio, "format_floats", spy)
+                calls = self._spy(patch)
                 assert main(["analyze", "--input", str(curve),
                              "--output", str(tmp_path / "report")]) == 2
-            assert calls == [2048] * 13 + [samples - 2048] * 13
+            blocks = [157] * (samples // 157) + [samples % 157]
+            assert [len(values) for values, _ in calls] == blocks
+            assert self._formatted_once(calls, columns)
             csv_text = (tmp_path / "report.csv").read_text()
             json_text = (tmp_path / "report.json").read_text()
             assert csv_text == self._csv(columns, names)
