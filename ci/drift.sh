@@ -44,6 +44,9 @@ curve "1e70*cosh(s)" "1e70*sinh(s)" 0 1 51 > in/scaled.json
 # y''^2 - z''^2 finite, 2 y'' y''' (in kappa') overflowing from s = 0.849:
 # stderr kept, since it should hold one line and no numpy warning
 curve "exp(400*s)" "0" 0.84 0.855 11 > in/kappa_d1.json
+# y''^2 - z''^2 = 1 - s^2 above tol_adm at all 10 points, its sign flipping
+# between s = 8/9 and 10/9: stderr kept, since plot-data should name the flip
+curve "s^2/2" "s^3/6" 0 2 10 > in/sign_flip.json
 # y and z swapped, header kept: the rectifying curve with <b, b> = +1
 mirror() { awk -F, -v OFS=, 'NR > 1 { y = $3; $3 = $4; $4 = y } 1' "$1" > "$2"; }
 # one field appended to line 3: a row wider than the header
@@ -86,6 +89,8 @@ for side in base head; do
   stderr=out/kappa_d1.stderr run analyze --input in/kappa_d1.json --output out/kappa_d1
   stderr=out/kappa_d1.stderr run classify --input in/kappa_d1.json --output out/kappa_d1_verdict.json
   stderr=out/kappa_d1.stderr run plot-data --input in/kappa_d1.json --output out/kappa_d1_series
+  stderr=out/sign_flip.stderr run plot-data --input in/sign_flip.json --output out/sign_flip_series
+  stderr=out/sign_flip.stderr run classify --input in/sign_flip.json --output out/sign_flip_verdict.json
   run verify --seed 0 --output out/verify.json
   run verify --seed 1 --output out/verify_seed1.json
   run verify --seed 0 --tol rectifying_slope=1e-12 --output out/verify_slope.json

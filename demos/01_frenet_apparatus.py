@@ -4,8 +4,8 @@ A curve in graph form r(s) = (s, y(s), z(s)) is admissible where
 y''(s)^2 - z''(s)^2 stays away from zero.  There the moving frame
 {t, n, b}, the orientation sign eps, the curvature kappa and the torsion
 tau are all computed from exact third-order jets of the component
-expressions.  frenet_grid evaluates them once on the curve's grid; the
-admissibility report is read off that grid.  This script walks through the
+expressions.  frenet_grid evaluates them once on the curve's grid, and the
+grid carries its admissibility report.  This script walks through the
 basic calls and the built-in cross-checks.  The apparatus at one point is
 read off a grid of that one point.
 """
@@ -14,7 +14,6 @@ import numpy as np
 
 from pgcurves import (
     PGVector3,
-    check_admissible,
     curve_from_exprs,
     det3,
     frenet_grid,
@@ -33,7 +32,7 @@ def frame_vectors(g, i):
 # --- a curve with unit curvature and unit torsion ------------------------
 curve = curve_from_exprs("cosh(s)", "sinh(s)", 0.0, 2.0)
 
-report = check_admissible(frenet_grid(curve, strict=False))
+report = frenet_grid(curve).admissibility
 print(f"admissible: {report.admissible} on segments {report.segments}")
 
 f = frenet_grid(curve, np.array([0.0]))
@@ -76,10 +75,10 @@ print(f"\ncurve (s, s^2): eps = {g.eps[0]:+.0f}, kappa = {float(g.kappa[0])}, "
 # --- inadmissible curves are rejected, with segments reported ------------
 line = curve_from_exprs("s", "0", 0.0, 1.0, samples=11)
 print(f"\nstraight line admissible: "
-      f"{check_admissible(frenet_grid(line, strict=False)).admissible}")
+      f"{frenet_grid(line).admissibility.admissible}")
 
 split = curve_from_exprs("s^4/12", "s^2/2", 0.0, 2.0)
-rep = check_admissible(frenet_grid(split, strict=False))
+rep = frenet_grid(split).admissibility
 print(f"curve (s^4/12, s^2/2) admissible: {rep.admissible}; "
       f"constant-sign segments: {rep.segments}")
 

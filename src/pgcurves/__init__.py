@@ -24,7 +24,6 @@ from .frenet import (
     CurveDef,
     FrenetGrid,
     NotAdmissible,
-    check_admissible,
     curve_from_exprs,
     curve_from_samples,
     frenet_grid,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frenet import FrenetGrid, NotAdmissible
+from .frenet import FrenetGrid, require_admissible
 from .jets import Jet3, jet_exp, jet_variable
 from .space import PGVector3, plane_det, plane_product
 
@@ -73,9 +73,9 @@ class FrameDecomposition:
 
 
 def frame_components_arrays(grid: FrenetGrid, p0: PGVector3) -> FrameDecomposition:
-    """Decompose r(s) - p0 in the frame at every point of an admissible grid."""
-    if not grid.ok.all():
-        raise NotAdmissible("frame decomposition needs an admissible grid")
+    """Decompose r(s) - p0 in the frame at every point of a grid whose
+    admissibility report holds; otherwise raise NotAdmissible."""
+    require_admissible(grid)
     alpha = grid.r[:, 0] - p0.x
     py = grid.r[:, 1] - p0.y - alpha * grid.t_y
     pz = grid.r[:, 2] - p0.z - alpha * grid.t_z

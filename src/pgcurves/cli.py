@@ -10,7 +10,6 @@ subcommand's handler reads the parsed Namespace.
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import re
 import sys
@@ -23,7 +22,6 @@ from .classify import (
     fit_constant_invariant,
     frame_components_arrays,
 )
-from .dsl import DomainError, LexError, ParseError
 from .fileio import (
     frenet_table,
     load_curve,
@@ -31,13 +29,7 @@ from .fileio import (
     write_series,
     write_trajectory_csv,
 )
-from .frenet import (
-    DEFAULT_TOL_ADM,
-    AdmissibilityReport,
-    NotAdmissible,
-    check_admissible,
-    frenet_grid,
-)
+from .frenet import DEFAULT_TOL_ADM, NotAdmissible, frenet_grid
 from .space import PGVector3
 from .synth import InvalidProfile, profile as make_profile
 from .synth import integrate_frenet, synth_rectifying
@@ -157,19 +149,9 @@ def _output_base(path: Path) -> Path:
     return Path(re.sub(r"\.(json|csv)$", "", str(path)))
 
 
-def _admissibility_payload(report: AdmissibilityReport) -> dict:
-    """The "admissibility" block of the analyze and classify reports."""
-    return {
-        "admissible": report.admissible,
-        "violations": [list(v) for v in report.violations],
-        "segments": [list(seg) for seg in report.segments],
-    }
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     curve = _load_curve_with_overrides(args)
-    grid = frenet_grid(curve, tol_adm=args.tol_adm, strict=False)
-    report_adm = check_admissible(grid)
+    grid = frenet_grid(curve, tol_adm=args.tol_adm)
 
     base = _output_base(args.output)
     base.parent.mkdir(parents=True, exist_ok=True)
@@ -181,13 +163,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                  "samples": int(curve.samples)},
         "exact_path": curve.exact,
         "tolerances": {"tol_adm": args.tol_adm},
-        "admissibility": _admissibility_payload(report_adm),
+        # the report's fields in order, uncopied: asdict would copy each pair
+        "admissibility": vars(grid.admissibility),
         # written with the CSV, a block of rows at a time, from one
         # formatting of each value
         "rows": frenet_table(grid, csv=base.with_suffix(".csv")),
     }
     write_json(base.with_suffix(".json"), payload)
-    return EXIT_OK if report_adm.admissible else EXIT_ADMISSIBILITY
+    return EXIT_OK if grid.admissibility.admissible else EXIT_ADMISSIBILITY
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -195,16 +178,15 @@ def cmd_classify(args: argparse.Namespace) -> int:
     curve = _load_curve_with_overrides(args)
     args.output.parent.mkdir(parents=True, exist_ok=True)
 
-    grid = frenet_grid(curve, tol_adm=args.tol_adm, strict=False)
-    report_adm = check_admissible(grid)
+    grid = frenet_grid(curve, tol_adm=args.tol_adm)
     payload = {
         "schema": 2,
         "command": "classify",
         "input": str(args.input),
         "origin": [origin.x, origin.y, origin.z],
-        "admissibility": _admissibility_payload(report_adm),
+        "admissibility": vars(grid.admissibility),
     }
-    if not report_adm.admissible:
+    if not grid.admissibility.admissible:
         payload.update({"verdict": None, "parameters": None, "residuals": None,
                         "constant_invariant": None,
                         "tolerances": {"tol_adm": args.tol_adm}})
@@ -275,7 +257,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_plot_data(args: argparse.Namespace) -> int:
     origin = _parse_origin(args.origin)
     curve = _load_curve_with_overrides(args)
-    grid = frenet_grid(curve, tol_adm=args.tol_adm, strict=True)
+    grid = frenet_grid(curve, tol_adm=args.tol_adm)
+    # NotAdmissible, before any file is made, unless the grid's report holds
     dec = frame_components_arrays(grid, origin)
 
     out_dir = args.output
@@ -301,8 +284,7 @@ def main(argv=None) -> int:
     except (NotAdmissible, InvalidProfile) as err:
         print(f"pgcurves: admissibility error: {err}", file=sys.stderr)
         return EXIT_ADMISSIBILITY
-    except (LexError, ParseError, DomainError, DegenerateFit, ValueError,
-            KeyError, OSError, json.JSONDecodeError) as err:
+    except (DegenerateFit, ValueError, OSError) as err:
         print(f"pgcurves: input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as err:

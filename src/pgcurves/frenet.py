@@ -22,16 +22,17 @@ call, dgbsv, whose extension module loads from its file on the first sampled
 curve; no command imports a scipy subpackage.
 
 CurveDef.jets serves both paths.  A command evaluates each point of its
-curve once, in frenet_grid; check_admissible and the frame decomposition in
-classify read the FrenetGrid it returns.  frenet_grid allocates the grid's
-arrays once and fills them a block of _BLOCK (8,192) points at a time: it
-evaluates the jets on the block, writes the closed forms into the block's
-rows and sets its inadmissible rows to NaN in place, so its temporaries are
-those of one block, whatever the size of the grid.
+curve once, in frenet_grid, whose grid carries its report from
+check_admissible, the one statement of the admissibility rule; the frame
+decomposition in classify, the commands and verify read it.  frenet_grid
+allocates the grid's arrays once and fills them a block of _BLOCK (8,192)
+points at a time: it evaluates the jets on the block, writes the closed
+forms into the block's rows and sets its inadmissible rows to NaN in place,
+so its temporaries are those of one block, whatever the size of the grid.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,7 +54,7 @@ _BLOCK = 8192
 __all__ = [
     "DEFAULT_TOL_ADM", "NotAdmissible", "SampleError", "SampledComponents", "CurveDef",
     "curve_from_exprs", "curve_from_samples", "FrenetGrid",
-    "AdmissibilityReport", "check_admissible", "frenet_grid", "torsion_det",
+    "AdmissibilityReport", "check_admissible", "require_admissible", "frenet_grid", "torsion_det",
 ]
 
 
@@ -177,6 +178,15 @@ def curve_from_samples(s, y, z, x=None) -> CurveDef:
 
 
 @dataclass(frozen=True)
+class AdmissibilityReport:
+    """Grid admissibility check: violations and constant-sign segments."""
+
+    admissible: bool
+    violations: list  # (s, y''^2 - z''^2) pairs
+    segments: list    # (s_lo, s_hi) spans
+
+
+@dataclass(frozen=True)
 class FrenetGrid:
     """Frame apparatus evaluated on a parameter grid (vectorized).
 
@@ -185,7 +195,8 @@ class FrenetGrid:
     are never masked.  res_t, res_n, res_b are the Euclidean norms of the
     frame-equation residuals t' - kappa n, n' - tau b, b' - tau n, with n'
     and b' from their closed forms (module docstring), not from the frame
-    equations.  exact records whether the curve has expression components.
+    equations.  exact records whether the curve has expression components;
+    admissibility is None only while frenet_grid fills the grid.
     """
 
     s: np.ndarray
@@ -206,16 +217,7 @@ class FrenetGrid:
     res_t: np.ndarray
     res_n: np.ndarray
     res_b: np.ndarray
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Grid admissibility check: violations and constant-sign segments."""
-
-    admissible: bool
-    tol: float
-    violations: list = field(default_factory=list)  # (s, y''^2 - z''^2) pairs
-    segments: list = field(default_factory=list)    # (s_lo, s_hi) spans
+    admissibility: AdmissibilityReport | None
 
 
 def _broadcast(value, shape):
@@ -230,17 +232,15 @@ _MASKED = ("eps", "kappa", "tau", "t_y", "t_z", "n_y", "n_z", "b_y", "b_z",
            "res_t", "res_n", "res_b")
 
 
-def frenet_grid(curve: CurveDef, s=None, tol_adm: float = DEFAULT_TOL_ADM,
-                strict: bool = True) -> FrenetGrid:
+def frenet_grid(curve: CurveDef, s=None, tol_adm: float = DEFAULT_TOL_ADM) -> FrenetGrid:
     """Evaluate the full Frenet apparatus on a grid of parameter values.
 
-    With strict=True any inadmissible point raises NotAdmissible; otherwise
-    such points are NaN-masked and flagged in the ok array.  A y''^2 - z''^2
-    that is not finite raises DomainError, strict or not, and so does a
-    kappa' or tau that is not finite at an admissible point; the message
-    names the first such s.  tol_adm must be finite and positive, or
-    ValueError is raised.  The grid's arrays are allocated once and filled
-    _BLOCK points at a time.
+    Inadmissible points are NaN-masked and flagged in the ok array, and the
+    grid carries its AdmissibilityReport.  A y''^2 - z''^2 that is not
+    finite raises DomainError, and so does a kappa' or tau that is not
+    finite at an admissible point; the message names the first such s.
+    tol_adm must be finite and positive, or ValueError is raised.  The
+    grid's arrays are allocated once and filled _BLOCK points at a time.
     """
     if not 0.0 < tol_adm < math.inf:
         raise ValueError(f"tolerance tol_adm must be finite and positive, got {tol_adm}")
@@ -249,17 +249,11 @@ def frenet_grid(curve: CurveDef, s=None, tol_adm: float = DEFAULT_TOL_ADM,
     s = np.atleast_1d(np.asarray(s, dtype=float))
     n = s.size
     grid = FrenetGrid(s=s, r=np.empty((n, 3)), disc=np.empty(n), ok=np.empty(n, dtype=bool),
-                      tol_adm=tol_adm, exact=curve.exact,
+                      tol_adm=tol_adm, exact=curve.exact, admissibility=None,
                       **{name: np.empty(n) for name in _MASKED})
     for start in range(0, n, _BLOCK):
         _fill_rows(curve, grid, slice(start, start + _BLOCK))
-    # after the loop, so the message counts the whole grid
-    if strict and not grid.ok.all():
-        bad = s[~grid.ok]
-        raise NotAdmissible(
-            f"y''^2 - z''^2 below {tol_adm:g} at {bad.size} grid point(s), "
-            f"first at s={float(bad[0])!r}")
-    return grid
+    return replace(grid, admissibility=check_admissible(grid))
 
 
 def _fill_rows(curve: CurveDef, grid: FrenetGrid, rows: slice):
@@ -336,7 +330,7 @@ def torsion_det(curve: CurveDef, s):
 
 
 def check_admissible(grid: FrenetGrid) -> AdmissibilityReport:
-    """Report points of a strict=False grid where |y''^2 - z''^2| < tol_adm.
+    """Report points of a grid where |y''^2 - z''^2| < tol_adm.
 
     The curve is accepted only when no point violates the bound and the sign
     of y''^2 - z''^2 is constant across the grid; otherwise the report lists
@@ -345,12 +339,29 @@ def check_admissible(grid: FrenetGrid) -> AdmissibilityReport:
     s, d, ok = grid.s, grid.disc, grid.ok
     violations = list(zip(s[~ok].tolist(), d[~ok].tolist()))
 
-    # a segment breaks at a violation and where the sign of d flips
-    breaks = np.diff(np.sign(d)) != 0
+    # a segment breaks at a violation and where the sign of d flips; where
+    # both points are admissible, d is nonzero and its sign bit is its sign
+    breaks = np.diff(np.signbit(d))
     starts = ok & np.concatenate([[True], ~ok[:-1] | breaks])
     ends = ok & np.concatenate([~ok[1:] | breaks, [True]])
     segments = list(zip(s[starts].tolist(), s[ends].tolist()))
 
     admissible = not violations and len(segments) == 1
-    return AdmissibilityReport(admissible=admissible, tol=grid.tol_adm,
-                               violations=violations, segments=segments)
+    return AdmissibilityReport(admissible=admissible, violations=violations,
+                               segments=segments)
+
+
+def require_admissible(grid: FrenetGrid):
+    """Raise NotAdmissible unless grid.admissibility holds, naming the first
+    violation or, with none, the first change of sign."""
+    report = grid.admissibility
+    if report.admissible:
+        return
+    if report.violations:
+        raise NotAdmissible(
+            f"y''^2 - z''^2 below {grid.tol_adm:g} at {len(report.violations)} "
+            f"grid point(s), first at s={report.violations[0][0]!r}")
+    if not report.segments:
+        raise NotAdmissible("the grid has no points")
+    (_, before), (after, _) = report.segments[:2]
+    raise NotAdmissible(f"y''^2 - z''^2 changes sign between s={before!r} and s={after!r}")

@@ -146,9 +146,10 @@ def integrate_frenet(p: InvariantProfile, step: float = 1e-3,
     The step is a target: the range is divided into a whole number of equal
     steps no longer than requested, so halving the requested step exactly
     doubles the step count.  Raises ValueError for a step that is not finite
-    and positive, InvalidProfile when kappa is not positive on the sample
-    grid, and DomainError when a profile cannot be evaluated on the range or
-    the position or frame overflows.
+    and positive, MemoryError when the range holds more steps than an array
+    can index, InvalidProfile when kappa is not positive on the sample grid,
+    and DomainError when a profile cannot be evaluated on the range or the
+    position or frame overflows.
 
     Since b = (sinh theta, cosh theta) = (n_z, n_y), the trajectory's b_y
     and b_z are its n_z and n_y arrays themselves, not copies, and a writer
@@ -158,10 +159,14 @@ def integrate_frenet(p: InvariantProfile, step: float = 1e-3,
         raise ValueError("step must be finite and positive")
 
     length = p.s_max - p.s_min
-    n_steps = max(1, int(math.ceil(length / step - 1e-9)))
-    h = length / n_steps
-
-    nodes = p.s_min + (0.5 * h) * np.arange(2 * n_steps + 1)
+    # ceil overflows on infinitely many steps, arange on too many to index
+    try:
+        n_steps = max(1, int(math.ceil(length / step - 1e-9)))
+        h = length / n_steps
+        nodes = p.s_min + (0.5 * h) * np.arange(2 * n_steps + 1)
+    except (OverflowError, ValueError):
+        raise MemoryError(f"step {step!r} over the window [{p.s_min!r}, {p.s_max!r}] "
+                          f"needs {length / step:.3g} steps") from None
     nodes[-1] = p.s_max
     kappa = np.broadcast_to(p.kappa.jet3(nodes).v, nodes.shape)
     if np.any(kappa[::2] <= 0.0):

@@ -189,15 +189,15 @@ DEFAULT_TOLERANCES = {
 
 
 def check_frenet_consistency(points: int = 1000, tol: float = 1e-9) -> CheckResult:
-    """Frame-equation residuals across the whole analysis corpus."""
-    worst = 0.0
-    count = 0
+    """Frame-equation residuals across the whole analysis corpus, whose
+    grids must all be admissible; a NaN residual is carried into worst."""
+    worst, admissible = 0.0, True
     for _, curve in corpus_curves(points):
         g = frenet_grid(curve)
-        worst = max(worst, float(np.max(g.res_t)), float(np.max(g.res_n)),
-                    float(np.max(g.res_b)))
-        count += points
-    return CheckResult("frenet_consistency", worst <= tol, worst, tol, count,
+        admissible = admissible and g.admissibility.admissible
+        worst = float(np.max([worst, np.max(g.res_t), np.max(g.res_n), np.max(g.res_b)]))
+    return CheckResult("frenet_consistency", admissible and worst <= tol, worst, tol,
+                       points * len(CURVE_CORPUS),
                        "max frame-equation residual over the DSL corpus")
 
 

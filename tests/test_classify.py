@@ -99,9 +99,35 @@ class TestFrameComponents:
 
     def test_inadmissible_grid_rejected(self):
         # y''^2 - z''^2 = s^4 - 1 vanishes at the grid point s = 1
-        grid = frenet_grid(curve_from_exprs("s^4/12", "s^2/2", 0.0, 2.0),
-                           strict=False)
+        grid = frenet_grid(curve_from_exprs("s^4/12", "s^2/2", 0.0, 2.0))
         with pytest.raises(NotAdmissible):
+            frame_components_arrays(grid, ORIGIN)
+
+    # the count and the first s are over the whole grid, not one block
+    @pytest.mark.parametrize("y, z, window, samples, count, first", [
+        ("s^2/2", "s^2/2", (0.0, 1.0), 20001, 20001, 0.0),
+        ("s^2/2", "s^3/6", (-1.0, 2.0), 24577, 2, -1.0),
+    ], ids=["every-point", "blocks-0-and-2"])
+    def test_error_counts_the_whole_grid(self, y, z, window, samples, count, first):
+        grid = frenet_grid(curve_from_exprs(y, z, *window, samples=samples))
+        with pytest.raises(NotAdmissible) as err:
+            frame_components_arrays(grid, ORIGIN)
+        assert str(err.value) == (f"y''^2 - z''^2 below 1e-12 at {count} grid point(s), "
+                                  f"first at s={first!r}")
+
+    def test_sign_change_rejected(self):
+        # y''^2 - z''^2 = 1 - s^2 stays above tol_adm at every one of the 10
+        # grid points but changes sign between s = 8/9 and s = 10/9
+        grid = frenet_grid(curve_from_exprs("s^2/2", "s^3/6", 0.0, 2.0, samples=10))
+        assert grid.ok.all()
+        with pytest.raises(NotAdmissible) as err:
+            frame_components_arrays(grid, ORIGIN)
+        assert str(err.value) == (f"y''^2 - z''^2 changes sign between s={float(grid.s[4])!r} "
+                                  f"and s={float(grid.s[5])!r}")
+
+    def test_empty_grid_rejected(self):
+        grid = frenet_grid(COSH_SINH, np.array([]))
+        with pytest.raises(NotAdmissible, match="^the grid has no points$"):
             frame_components_arrays(grid, ORIGIN)
 
 

@@ -248,10 +248,8 @@ class TestAnalyze:
         curve = tmp_path / "curve.json"
         curve.write_text(json.dumps({"y": "1.5*cosh(s)", "z": "1.5*sinh(s)",
                                      "s_min": -2.0, "s_max": 2.0, "samples": 50001}))
-        grid = frenet_grid(load_curve(curve), strict=False)
-        report = pgcurves.cli.check_admissible(grid)
+        grid = frenet_grid(load_curve(curve))
         monkeypatch.setattr(pgcurves.cli, "frenet_grid", lambda *args, **kwargs: grid)
-        monkeypatch.setattr(pgcurves.cli, "check_admissible", lambda _: report)
         tracemalloc.start()
         try:
             assert main(["analyze", "--input", str(curve),
@@ -674,6 +672,25 @@ class TestPlotData:
         assert code == 2
         assert capfd.readouterr().err.endswith("first at s=0.0\n")
 
+    def test_sign_change_exit_2_writes_nothing(self, tmp_path, capfd):
+        # y''^2 - z''^2 = 1 - s^2 clears tol_adm at all 10 grid points but
+        # changes sign between s = 8/9 and s = 10/9: analyze and classify
+        # report two segments, and plot-data decomposes across neither
+        curve = tmp_path / "sign_flip.json"
+        curve.write_text(json.dumps({"y": "s^2/2", "z": "s^3/6", "s_min": 0,
+                                     "s_max": 2, "samples": 10}))
+        out_dir = tmp_path / "series"
+        assert main(["plot-data", "--input", str(curve), "--output", str(out_dir)]) == 2
+        assert capfd.readouterr().err == (
+            "pgcurves: admissibility error: y''^2 - z''^2 changes sign between "
+            "s=0.8888888888888888 and s=1.1111111111111112\n")
+        assert not out_dir.exists()
+        for command in ("analyze", "classify"):
+            out = tmp_path / f"{command}.json"
+            assert main([command, "--input", str(curve), "--output", str(out)]) == 2
+            assert _strict_json(out)["admissibility"]["segments"] == [
+                [0.0, 0.8888888888888888], [1.1111111111111112, 2.0]]
+
     def test_affine_ratio_for_rectifying_output(self, tmp_path):
         curve_path = tmp_path / "synth.csv"
         assert main(["synthesize", "--m1", "0.5", "--n1", "2", "--kappa", "1",
@@ -845,6 +862,32 @@ def test_oversize_input_exit_1(tmp_path, cosh_sinh_file):
         assert line.startswith("pgcurves: input error: ")
         assert line.endswith(": the input is too large")
     assert not synth_out.exists() and not analyze_out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--step", "1e-300"], "step 1e-300 over the window [0.0, 2.0] needs 2e+300 steps"),
+    (["--step", "5e-324"], "step 5e-324 over the window [0.0, 2.0] needs inf steps"),
+    (["--s-min=-1e308", "--s-max=1e308"],
+     "step 0.001 over the window [-1e+308, 1e+308] needs inf steps"),
+], ids=["past-array-size", "overflowing-count", "overflowing-window"])
+def test_unallocatable_step_exit_1(tmp_path, capfd, args, message):
+    # the step count is refused before any array of nodes is allocated
+    out = tmp_path / "synth.csv"
+    assert main(["synthesize", "--kappa", "1", "--tau", "1", *args,
+                 "--output", str(out)]) == 1
+    assert capfd.readouterr().err == (f"pgcurves: input error: {message}: "
+                                      "the input is too large\n")
+    assert not out.exists()
+
+
+def test_internal_key_error_propagates(tmp_path, cosh_sinh_file, monkeypatch):
+    # no input path raises KeyError, so one is a bug, not an input error
+    def broken(path):
+        raise KeyError("y")
+
+    monkeypatch.setattr(pgcurves.cli, "load_curve", broken)
+    with pytest.raises(KeyError):
+        main(["analyze", "--input", str(cosh_sinh_file), "--output", str(tmp_path / "out")])
 
 
 def _output_bytes(path):

@@ -337,7 +337,7 @@ class TestFloatTable:
             curve = tmp_path / "curve.json"
             curve.write_text(json.dumps({"y": "s^2/2", "z": "s^3/6", "s_min": s_min,
                                          "s_max": s_max, "samples": samples}))
-            columns = [getattr(frenet_grid(load_curve(curve), strict=False), name)
+            columns = [getattr(frenet_grid(load_curve(curve)), name)
                        for name in names]
             with monkeypatch.context() as patch:
                 calls = self._spy(patch)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pgcurves import frenet
+from pgcurves.classify import frame_components_arrays
 from pgcurves.frenet import (
     DEFAULT_TOL_ADM,
     NotAdmissible,
@@ -18,13 +19,13 @@ from pgcurves.frenet import (
     torsion_det,
 )
 from pgcurves.jets import DomainError, Jet3, jet_sqrt
-from pgcurves.space import PGVector3, det3, pg_inner, plane_det, plane_product
+from pgcurves.space import ORIGIN, PGVector3, det3, pg_inner, plane_det, plane_product
 from pgcurves.synth import synth_rectifying
 from pgcurves.verify import corpus_curves
 
 
 def _admissibility(curve, tol_adm=DEFAULT_TOL_ADM):
-    return check_admissible(frenet_grid(curve, tol_adm=tol_adm, strict=False))
+    return frenet_grid(curve, tol_adm=tol_adm).admissibility
 
 
 def _frame_vectors(g, i=0):
@@ -129,7 +130,7 @@ class TestAdmissibility:
             "all-violations"])
     def test_segment_edges(self, y, z, s, bad, segments):
         c = curve_from_exprs(y, z, -2.0, 2.0)
-        report = check_admissible(frenet_grid(c, np.array(s), strict=False))
+        report = frenet_grid(c, np.array(s)).admissibility
         assert report.violations == [(si, 0.0) for si in bad]
         assert report.segments == segments
         assert not report.admissible
@@ -151,7 +152,7 @@ class TestAdmissibility:
             return segments
 
         rng = np.random.default_rng(7)
-        base = frenet_grid(COSH_SINH, np.linspace(0.0, 2.0, 40), strict=False)
+        base = frenet_grid(COSH_SINH, np.linspace(0.0, 2.0, 40))
         for _ in range(200):
             d = rng.choice([-1.0, 0.0, 1.0], size=40) * rng.uniform(0.5, 2.0, size=40)
             grid = dataclasses.replace(base, disc=d, ok=np.abs(d) >= base.tol_adm)
@@ -190,13 +191,14 @@ class TestFrameAt:
         assert det3(t, n, b) == pytest.approx(1.0, abs=1e-14)
 
     def test_not_admissible_raises(self):
+        # the point is flagged, its frame is NaN, and the decomposition
+        # refuses the grid
         line = curve_from_exprs("s", "0", 0.0, 1.0)
-        with pytest.raises(NotAdmissible, match=r"first at s=0\.5$"):
-            frenet_grid(line, np.array([0.5]))
-        # not strict, the point is flagged and its frame is NaN
-        g = frenet_grid(line, np.array([0.5]), strict=False)
-        assert not g.ok[0]
+        g = frenet_grid(line, np.array([0.5]))
+        assert not g.ok[0] and not g.admissibility.admissible
         assert all(np.isnan(v[0]) for v in (g.eps, g.kappa, g.tau, g.n_y, g.b_z))
+        with pytest.raises(NotAdmissible, match=r"first at s=0\.5$"):
+            frame_components_arrays(g, ORIGIN)
 
     def test_frame_invariants_across_corpus(self):
         for curve in CORPUS:
@@ -285,24 +287,10 @@ class TestResiduals:
             assert np.max(r) <= 1e-5
 
 
-class TestStrictGrid:
-    # the count and the first s are over the whole grid, not one block
-    @pytest.mark.parametrize("y, z, window, samples, count, first", [
-        ("s^2/2", "s^2/2", (0.0, 1.0), 20001, 20001, 0.0),
-        ("s^2/2", "s^3/6", (-1.0, 2.0), 24577, 2, -1.0),
-    ], ids=["every-point", "blocks-0-and-2"])
-    def test_error_counts_the_whole_grid(self, y, z, window, samples, count, first):
-        curve = curve_from_exprs(y, z, *window, samples=samples)
-        with pytest.raises(NotAdmissible) as err:
-            frenet_grid(curve)
-        assert str(err.value) == (f"y''^2 - z''^2 below 1e-12 at {count} grid point(s), "
-                                  f"first at s={first!r}")
-
-
 class TestNonStrictGrid:
     def test_violations_are_masked(self):
         c = curve_from_exprs("s^4/12", "s^2/2", 0.0, 2.0, samples=101)
-        g = frenet_grid(c, strict=False)
+        g = frenet_grid(c)
         assert not g.ok.all()
         assert np.all(np.isnan(g.kappa[~g.ok]))
         assert np.all(np.isfinite(g.kappa[g.ok]))
@@ -313,10 +301,9 @@ class TestNonStrictGrid:
         c = curve_from_exprs("s^2/2", "s^3/6", -1.0, 2.0, samples=7)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for strict in (True, False):
-                with pytest.raises(ValueError, match="tolerance tol_adm must be finite "
-                                   f"and positive, got {tol_adm}"):
-                    frenet_grid(c, tol_adm=tol_adm, strict=strict)
+            with pytest.raises(ValueError, match="tolerance tol_adm must be finite "
+                               f"and positive, got {tol_adm}"):
+                frenet_grid(c, tol_adm=tol_adm)
 
     def test_overflowing_discriminant_raises_domain_error(self, monkeypatch):
         # y'' = 1e154 (1 + s/10), so y''^2 passes 1.8e308 between s = 2 and
@@ -325,14 +312,13 @@ class TestNonStrictGrid:
         c = curve_from_exprs("1e154*(s^2/2 + s^3/60)", "0", 0.0, 6.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for strict in (True, False):
-                with pytest.raises(DomainError, match=r"^y''\^2 - z''\^2 is not finite "
-                                                      r"from s=4\.0$"):
-                    frenet_grid(c, np.array([0.0, 2.0, 4.0, 6.0]), strict=strict)
+            with pytest.raises(DomainError, match=r"^y''\^2 - z''\^2 is not finite "
+                                                  r"from s=4\.0$"):
+                frenet_grid(c, np.array([0.0, 2.0, 4.0, 6.0]))
 
 
 def _padded_jet_grid(curve, s, tol_adm=DEFAULT_TOL_ADM):
-    """The non-strict FrenetGrid of curve at s, with the frame derivatives
+    """The arrays of the FrenetGrid of curve at s, with the frame derivatives
     taken by Jet3 arithmetic on the frame component formulas: n and b as
     first-order jets padded with zero d2 and d3 slots."""
     yj, zj = curve.jets(s)
@@ -391,7 +377,7 @@ class TestClosedFormFrame:
         block = BLOCK_SIZES.get(curve_id, frenet._BLOCK)
         monkeypatch.setattr(frenet, "_BLOCK", block)
         assert curve.samples > 2 * block or not curve_id.endswith("-blocks")
-        grid = frenet_grid(curve, strict=False)
+        grid = frenet_grid(curve)
         reference = _padded_jet_grid(curve, grid.s)
         assert set(reference) == {name for name, value in vars(grid).items()
                                   if isinstance(value, np.ndarray)}

@@ -139,3 +139,13 @@ def test_child_dsl_error_reraised(monkeypatch, error, where):
     assert str(info.value) == str(error)
     assert getattr(info.value, where) == getattr(error, where)
     _assert_no_child_left()
+
+
+# a line, below tol_adm at every point, and s^2/2, s^3/6 on [0, 2], whose
+# y''^2 - z''^2 = 1 - s^2 changes sign between grid points
+@pytest.mark.parametrize("entry", [("line", "s", "0", 0.0, 1.0),
+                                   ("sign-flip", "s^2/2", "s^3/6", 0.0, 2.0)],
+                         ids=["violations", "sign-change"])
+def test_inadmissible_corpus_curve_fails(monkeypatch, entry):
+    monkeypatch.setattr(verify, "CURVE_CORPUS", [entry])
+    assert verify.check_frenet_consistency().passed is False
