@@ -47,6 +47,9 @@ curve "exp(400*s)" "0" 0.84 0.855 11 > in/kappa_d1.json
 # y''^2 - z''^2 = 1 - s^2 above tol_adm at all 10 points, its sign flipping
 # between s = 8/9 and 10/9: stderr kept, since plot-data should name the flip
 curve "s^2/2" "s^3/6" 0 2 10 > in/sign_flip.json
+# cosh(3s)/9, sinh(3s)/9 (kappa 1, tau 3) on 2,001 Chebyshev points of
+# [0, 2], which crowd at the ends: a sampled curve with an uneven step
+python -c 'import numpy as np; s = 1 - np.cos(np.linspace(0, np.pi, 2001)); s[-1] = 2; np.savetxt("in/cheb.csv", np.column_stack([s, s, np.cosh(3 * s) / 9, np.sinh(3 * s) / 9]), fmt="%.17g", delimiter=",", header="s,x,y,z", comments="")'
 # y and z swapped, header kept: the rectifying curve with <b, b> = +1
 mirror() { awk -F, -v OFS=, 'NR > 1 { y = $3; $3 = $4; $4 = y } 1' "$1" > "$2"; }
 # one field appended to line 3: a row wider than the header
@@ -82,6 +85,14 @@ for side in base head; do
   run classify --input out/rect_mirror.csv --output out/rect_mirror_verdict.json
   run synthesize --kappa 2 --tau 0.7 --output out/const.csv
   run classify --input out/const.csv --output out/const_verdict.json
+  # |tau| times the window above 4: constant kappa and tau read off the
+  # spline's third derivatives
+  run synthesize --kappa 0.5 --tau 3 --output out/const_tau3.csv
+  run classify --input out/const_tau3.csv --output out/const_tau3_verdict.json
+  run synthesize --kappa 0.5 --tau 2 --s-max 4 --output out/const_tau2_long.csv
+  run classify --input out/const_tau2_long.csv --output out/const_tau2_long_verdict.json
+  run analyze --input in/cheb.csv --output out/cheb_analysis
+  run classify --input in/cheb.csv --output out/cheb_verdict.json
   run synthesize --kappa 1 --tau 1000 --output out/overflow.csv
   run classify --input in/short.json --tol-classify 1e-5 --output out/short_verdict.json
   stderr=out/scaled.stderr run analyze --input in/scaled.json --output out/scaled

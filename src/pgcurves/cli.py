@@ -176,8 +176,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     origin = _parse_origin(args.origin)
     curve = _load_curve_with_overrides(args)
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-
     grid = frenet_grid(curve, tol_adm=args.tol_adm)
     payload = {
         "schema": 2,
@@ -190,6 +188,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         payload.update({"verdict": None, "parameters": None, "residuals": None,
                         "constant_invariant": None,
                         "tolerances": {"tol_adm": args.tol_adm}})
+        args.output.parent.mkdir(parents=True, exist_ok=True)
         write_json(args.output, payload)
         return EXIT_ADMISSIBILITY
 
@@ -222,6 +221,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         },
         "tolerances": {"tol_adm": args.tol_adm, "tol_classify": verdict.tol},
     })
+    args.output.parent.mkdir(parents=True, exist_ok=True)
     write_json(args.output, payload)
     return EXIT_OK
 

@@ -19,7 +19,8 @@ Components y and z come either from DSL expressions (exact derivative path)
 or from one quintic spline through sampled points of both (relaxed
 tolerances).  The spline is pgcurves.spline: numpy code around one LAPACK
 call, dgbsv, whose extension module loads from its file on the first sampled
-curve; no command imports a scipy subpackage.
+curve; no command imports a scipy subpackage.  Every sampled curve, from a
+CSV, a caller or a synthesis, gets its knots from SampledComponents alone.
 
 CurveDef.jets serves both paths.  A command evaluates each point of its
 curve once, in frenet_grid, whose grid carries its report from
@@ -46,6 +47,10 @@ DEFAULT_TOL_ADM = 1e-12
 _TOL_X = 1e-9
 # how far the window of a sampled curve may reach past its samples
 _TOL_RANGE = 1e-12
+# knot spacing of sampled curves: third derivatives of an interpolant amplify
+# sample rounding like spacing^-3, and 4e-3 balances that against truncation
+# error for double precision
+_KNOT_SPACING = 4e-3
 # points per block of frenet_grid.  Each temporary of a block, 64 KiB, stays
 # under glibc's 128 KiB mmap threshold; at 200,001 points 8,192 was faster
 # than 2,048 and 4,096 and held 1 MiB less than 16,384 at the peak
@@ -76,6 +81,9 @@ class SampleError(ValueError):
 class SampledComponents:
     """y(s) and z(s) reconstructed from samples by one quintic spline fit.
 
+    Every sample is validated.  The spline interpolates the samples of rows:
+    the first in each cell of width _KNOT_SPACING from s[0], and the last,
+    or every sample if that leaves fewer than 6.
     Derivatives up to third order come from the spline, so tolerances on any
     quantity built from them are relaxed relative to the exact DSL path.
     """
@@ -93,7 +101,12 @@ class SampledComponents:
         if not rising.all():
             raise SampleError("sample parameters must be strictly increasing",
                               int(np.argmin(rising)) + 1)
-        self._knots, c = spline.interpolate(s, np.column_stack([y, z]))
+        # 1 + 1e-9: a sample on a cell edge up to rounding starts that cell
+        with np.errstate(over="ignore"):
+            cell = np.floor((s - s[0]) * ((1.0 + 1e-9) / _KNOT_SPACING))
+        rows = np.flatnonzero(np.concatenate([[True], cell[1:-1] != cell[:-2], [True]]))
+        self.rows = rows if rows.size >= 6 else np.arange(s.size)
+        self._knots, c = spline.interpolate(s[self.rows], np.column_stack([y, z])[self.rows])
         self._coefs = spline.derivatives(self._knots, c, 3)
         self.s_range = (float(s[0]), float(s[-1]))
 
@@ -158,7 +171,7 @@ def curve_from_samples(s, y, z, x=None) -> CurveDef:
     """Build a sampled-path curve from arrays of parameter values and components.
 
     If x is given it must equal s plus a constant (graph form with the
-    parameter as arc length); the constant becomes the curve's x_offset.
+    parameter as arc length); its mean over the knot rows is the x_offset.
     Bad samples raise SampleError, whose row is the first non-finite or
     non-increasing sample, or the x farthest from s plus the mean offset.
     """
@@ -167,13 +180,13 @@ def curve_from_samples(s, y, z, x=None) -> CurveDef:
     x_offset = 0.0
     if x is not None:
         offsets = np.asarray(x, dtype=float) - s
-        x_offset = float(np.mean(offsets))
-        deviation = np.abs(offsets - x_offset)
+        deviation = np.abs(offsets - np.mean(offsets))
         if not np.max(deviation) <= _TOL_X:
             finite = np.isfinite(offsets)
             row = np.argmin(finite) if not finite.all() else np.argmax(deviation)
             raise SampleError("x must equal s plus a constant: curves are in graph form",
                               int(row))
+        x_offset = float(np.mean(offsets[sampled.rows]))
     return CurveDef(None, None, float(s[0]), float(s[-1]), int(s.size), x_offset, sampled)
 
 

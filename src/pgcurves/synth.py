@@ -44,8 +44,6 @@ __all__ = [
     "synth_rectifying", "rectifying_drift",
 ]
 
-_KNOT_SPACING = 4e-3
-
 
 class InvalidProfile(Exception):
     """The prescribed curvature profile is not positive on the range."""
@@ -98,27 +96,15 @@ class FrenetTrajectory:
                  s_max: float | None = None) -> CurveDef:
         """Spline-backed curve over [s_min, s_max] (default: the full range).
 
-        A window that leaves the integrated range raises ValueError.
-
-        Trajectory samples are thinned to roughly _KNOT_SPACING before the
-        spline fit: third derivatives of an interpolant amplify sample-level
-        rounding noise like spacing^-3, so knots at every fine integration
-        step would drown the reconstructed torsion in noise.  The spacing
-        balances that amplification against truncation error for double
-        precision.
+        curve_from_samples chooses the knots; the default grid has one point
+        per knot inside the window, and at least 8.  A window that leaves
+        the integrated range raises ValueError.
         """
-        s_min = float(self.s[0]) if s_min is None else float(s_min)
-        s_max = float(self.s[-1]) if s_max is None else float(s_max)
-        h = float(self.s[1] - self.s[0]) if self.s.size > 1 else _KNOT_SPACING
-        stride = max(1, int(round(_KNOT_SPACING / h)))
-        idx = np.arange(0, self.s.size, stride)
-        if idx[-1] != self.s.size - 1:
-            idx = np.append(idx, self.s.size - 1)
-        if idx.size < 6:
-            idx = np.arange(self.s.size)
-        curve = curve_from_samples(self.s[idx], self.r[idx, 1], self.r[idx, 2],
-                                   x=self.r[idx, 0])
-        inside = int(np.count_nonzero((self.s[idx] >= s_min) & (self.s[idx] <= s_max)))
+        curve = curve_from_samples(self.s, self.r[:, 1], self.r[:, 2], x=self.r[:, 0])
+        s_min = curve.s_min if s_min is None else float(s_min)
+        s_max = curve.s_max if s_max is None else float(s_max)
+        knots = self.s[curve.sampled.rows]
+        inside = int(np.count_nonzero((knots >= s_min) & (knots <= s_max)))
         return replace(curve, s_min=s_min, s_max=s_max, samples=max(8, inside))
 
 

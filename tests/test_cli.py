@@ -196,6 +196,22 @@ class TestAnalyze:
         assert code == 1
         assert f"pgcurves: input error: {bad}: {message}" in capsys.readouterr().err
 
+    # at a step of 1e-3 the spline keeps every fourth row; line 7 holds the
+    # sample at s = 0.005, which it drops, and is still checked
+    @pytest.mark.parametrize("row, message", [
+        ("0.005,0.505,nan,0", "line 7 (s=0.005): spline samples must be finite"),
+        ("0.005,0.6,0,0", "line 7 (s=0.005): x must equal s plus a constant"),
+    ], ids=["nan-y", "x-off"])
+    def test_csv_bad_sample_between_knots_exit_1(self, tmp_path, capsys, row, message):
+        rows = [f"{i / 1000},{i / 1000 + 0.5},{(i / 1000) ** 2},{(i / 1000) ** 3 / 6}"
+                for i in range(100)]
+        rows[5] = row
+        bad = tmp_path / "bad.csv"
+        bad.write_text("s,x,y,z\n" + "\n".join(rows) + "\n")
+        code = main(["analyze", "--input", str(bad), "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert f"pgcurves: input error: {bad}: {message}" in capsys.readouterr().err
+
     # loadtxt counts data rows from 0, past comment and blank lines; the
     # report names the file line
     def test_csv_bad_value_names_its_line(self, tmp_path, capsys):
@@ -326,6 +342,17 @@ class TestClassify:
         assert family["c_plus"] == pytest.approx(-0.5 * 2.0 / 0.7**2, abs=1e-6)
         assert family["c_minus"] == pytest.approx(-0.5 * 2.0 / 0.7**2, abs=1e-6)
 
+    # |tau| times the window passes 4: with a knot at every sample, the
+    # spline's third derivatives spread tau by 2.2e-2 and 1.5
+    @pytest.mark.parametrize("args, tau", [
+        (("--kappa", "0.5", "--tau", "3"), 3.0),
+        (("--kappa", "0.5", "--tau", "2", "--s-max", "4"), 2.0),
+    ], ids=["tau-3", "tau-2-over-4"])
+    def test_fast_turning_constant_invariant_curve_holds(self, tmp_path, args, tau):
+        payload = _synthesize_and_classify(tmp_path, *args)
+        assert payload["constant_invariant"]["holds"] is True
+        assert payload["parameters"]["tau"] == pytest.approx(tau, rel=1e-4)
+
     def test_timelike_normal_mirror_holds(self, tmp_path):
         # swapping y and z turns the spacelike principal normal timelike
         # (eps = -1): tau changes sign, c_plus and c_minus trade places, and
@@ -369,9 +396,10 @@ class TestClassify:
         np.savetxt(samples, table, delimiter=",", header="s,x,y,z", comments="")
         for path in (curve, samples):
             code = main(["classify", "--input", str(path),
-                         "--output", str(tmp_path / "verdict.json")])
+                         "--output", str(tmp_path / "newdir" / "verdict.json")])
             assert code == 1
             assert "input error: classification needs a grid" in capsys.readouterr().err
+            assert not (tmp_path / "newdir").exists()
 
     def test_short_window_fit_is_neither(self, tmp_path):
         # on a short window cosh/sinh is still no rectifying curve, and still
@@ -804,7 +832,8 @@ def test_huge_curvature_leaves_stderr_empty(tmp_path, command, output):
 
 # y''^2 - z''^2 overflows to inf from the first point on, or, on the exp(400 s)
 # window, 2 y'' y''' (in kappa') overflows from s = 0.849 while y''^2 - z''^2
-# stays finite; warnings are errors, so a numpy warning on the way fails the test
+# stays finite; warnings are errors, so a numpy warning on the way fails the
+# test.  The output's directories are made only for a report, so none is left
 @pytest.mark.parametrize("y, z, s_min, s_max, message", [
     ("1e200*s^2", "s^3", 0.5, 1.0, "y''^2 - z''^2 is not finite from s=0.5"),
     ("1e160*cosh(s)", "1e160*sinh(s)", 0.5, 1.0, "y''^2 - z''^2 is not finite from s=0.5"),
@@ -816,7 +845,8 @@ def test_overflowing_curvature_exit_1(tmp_path, capfd, command, y, z, s_min, s_m
     curve = tmp_path / "curve.json"
     curve.write_text(json.dumps({"y": y, "z": z, "s_min": s_min, "s_max": s_max,
                                  "samples": 11}))
-    code = main([command, "--input", str(curve), "--output", str(tmp_path / "out")])
+    code = main([command, "--input", str(curve),
+                 "--output", str(tmp_path / "newdir" / "sub" / "out")])
     assert code == 1
     assert capfd.readouterr().err == f"pgcurves: input error: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["curve.json"]
@@ -902,16 +932,18 @@ def test_cold_sampled_command_loads_no_scipy_subpackage(tmp_path, cosh_sinh_csv,
     # the quintic spline is numpy code around one LAPACK call, dgbsv, whose
     # extension module loads from its own file: a sampled curve imports
     # neither scipy.linalg nor the spline stack.  verify draws from
-    # random.Random, so numpy.random, and OpenSSL with it, stays unloaded
+    # random.Random, so numpy.random, and OpenSSL with it, stays unloaded;
+    # numpy.ma (about 0.9 MB, loaded by np.unique) stays unloaded too
     args = ["--seed", "0"] if command == "verify" else ["--input", str(cosh_sinh_csv)]
     output = "report.json" if command in ("classify", "verify") else "out"
     cold, warm = tmp_path / "cold" / output, tmp_path / "warm" / output
     probe = ("import sys, scipy, pgcurves.cli; "
              f"code = pgcurves.cli.main([{command!r}, *{args!r}, '--output', {str(cold)!r}]); "
              "print(code, sorted(m for m in scipy.submodules if 'scipy.' + m in sys.modules), "
-             "*(m in sys.modules for m in ('numpy.random', 'secrets', 'hashlib', '_hashlib')))")
+             "*(m in sys.modules for m in ('numpy.random', 'secrets', 'hashlib', '_hashlib', "
+             "'numpy.ma')))")
     out = _run_fresh_interpreter(probe)
-    assert out.stdout.split() == ["0", "[]", "False", "False", "False", "False"]
+    assert out.stdout.split() == ["0", "[]", "False", "False", "False", "False", "False"]
     assert main([command, *args, "--output", str(warm)]) == 0
     assert _output_bytes(cold) == _output_bytes(warm)
 

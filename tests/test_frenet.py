@@ -9,6 +9,7 @@ import pytest
 
 from pgcurves import frenet
 from pgcurves.classify import frame_components_arrays
+from pgcurves.fileio import load_curve_csv, write_trajectory_csv
 from pgcurves.frenet import (
     DEFAULT_TOL_ADM,
     NotAdmissible,
@@ -20,7 +21,7 @@ from pgcurves.frenet import (
 )
 from pgcurves.jets import DomainError, Jet3, jet_sqrt
 from pgcurves.space import ORIGIN, PGVector3, det3, pg_inner, plane_det, plane_product
-from pgcurves.synth import synth_rectifying
+from pgcurves.synth import integrate_frenet, profile, synth_rectifying
 from pgcurves.verify import corpus_curves
 
 
@@ -87,6 +88,56 @@ class TestCurveDef:
         with pytest.raises(ValueError, match=r"window \[0.0, 2.000000001\] leaves "
                                              r"the sample range \[0.0, 2.0\]"):
             dataclasses.replace(sampled, s_max=2.0 + 1e-9)
+
+
+def _cosh3_tau_error(s):
+    """Worst relative error of tau = 3 on 1,001 points of [0, 2] for the
+    exact curve cosh(3s)/9, sinh(3s)/9 sampled at s."""
+    curve = curve_from_samples(s, np.cosh(3.0 * s) / 9.0, np.sinh(3.0 * s) / 9.0)
+    return float(np.max(np.abs(frenet_grid(curve, np.linspace(0.0, 2.0, 1001)).tau / 3.0 - 1.0)))
+
+
+class TestKnotRule:
+    # one knot rule for every sampled curve: dense samples are thinned to
+    # about _KNOT_SPACING, so more samples do not drown tau in rounding noise
+    @pytest.mark.parametrize("n", [801, 1601, 3201, 6401])
+    def test_uniform_and_jittered_samples(self, n):
+        s = np.linspace(0.0, 2.0, n)
+        assert _cosh3_tau_error(s) < 1e-3
+        h = 2.0 / (n - 1)
+        s[1:-1] += np.random.default_rng(n).uniform(-0.3 * h, 0.3 * h, n - 2)
+        assert _cosh3_tau_error(s) < 1e-3
+
+    @pytest.mark.parametrize("n", [401, 1001, 2001, 4001, 8001])
+    def test_chebyshev_samples(self, n):
+        # the points crowd at the ends, where each cell keeps one of many
+        s = 1.0 - np.cos(np.linspace(0.0, np.pi, n))
+        s[-1] = 2.0
+        assert _cosh3_tau_error(s) < 1e-3
+
+    @pytest.mark.parametrize("source", ["csv", "samples", "trajectory"])
+    def test_uniform_step_keeps_every_fourth_row_and_the_last(self, tmp_path, source):
+        traj = integrate_frenet(profile("1", "0.5", 0.0, 2.002), step=1e-3)
+        if source == "csv":
+            write_trajectory_csv(tmp_path / "synth.csv", traj)
+            curve = load_curve_csv(tmp_path / "synth.csv")
+        elif source == "samples":
+            s = np.arange(2003) * 1e-3
+            curve = curve_from_samples(s, np.cosh(s), np.sinh(s), x=s)
+        else:
+            curve = traj.to_curve()
+        assert curve.sampled.rows.tolist() == [*range(0, 2001, 4), 2002]
+        assert curve.samples == (2003 if source != "trajectory" else 502)
+
+    def test_sparse_samples_are_all_kept(self):
+        s = np.concatenate([np.linspace(0.0, 0.1, 101), np.linspace(0.11, 1.0, 90)])
+        rows = curve_from_samples(s, np.cosh(s), np.sinh(s)).sampled.rows
+        assert rows.tolist() == [*range(0, 101, 4), *range(101, 191)]
+        few = np.linspace(0.0, 0.01, 11)
+        assert curve_from_samples(few, few ** 2, few ** 3).sampled.rows.size == 11
+        # the cells overflow to inf past a span of about 7e305, without a warning
+        wide = np.linspace(-8e307, 8e307, 11)
+        assert curve_from_samples(wide, 0.0 * wide, 0.0 * wide).sampled.rows.size == 11
 
 
 class TestAdmissibility:
